@@ -1,9 +1,9 @@
 """Command-line front end: predictions, matrix dumps, density reports, curves.
 
 Exit statuses: 0 on success, 1 on validation or parse errors (bad flags,
-malformed data files, out-of-range values), 2 on numerical failure
-(singular covariance matrix).  Validation always happens before the
-output path is touched.
+malformed data files, out-of-range values), 2 on numerical failure (a
+density whose quadrature misses its own mass check).  Validation always
+happens before the output path is touched.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 from . import svg
 from .density import density_stats
 from .kernel import KernelParams, normalized_green
-from .numerics import SingularMatrixError
 from .regression import QueryGrid, SampleSet, build_cov_matrix, discretized_solution, predict
 
 _FORMATS = ("csv", "svg")
@@ -100,7 +99,7 @@ def cmd_predict(config: RunConfig) -> int:
     """Write the predictive table as CSV; with format=svg also a band plot."""
     samples = load_samples(config.data_path)
     if config.queries is not None:
-        grid = QueryGrid(x_star=np.asarray(config.queries), delta=config.delta)
+        grid = QueryGrid(x_star=np.asarray(config.queries))
     else:
         grid = QueryGrid.uniform(config.delta)
     pred = predict(KernelParams(a=config.a), samples, grid)
@@ -276,9 +275,6 @@ def main(argv=None) -> int:
                 format=args.format,
             )
         )
-    except SingularMatrixError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ArithmeticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .kernel import KernelParams, _as_open_unit, normalized_green
 from .numerics import integrate
+
+# a section decays like exp(-a |x - y|), so beyond |x - y| = _DECAY_CUTOFF / a
+# it has fallen below double rounding relative to its peak
+_DECAY_CUTOFF = -math.log(sys.float_info.epsilon)
 
 
 @dataclass(frozen=True)
@@ -24,13 +29,20 @@ def density_stats(params: KernelParams, y) -> DensityStats:
     """Mean, variance and one/two-sigma central masses of x -> H(x, y).
 
     All five numbers come from composite quadrature with the domain split
-    at the kink x = y.  The probability intervals mean +- k std are
-    clipped to [0, 1], which loses no mass since the density vanishes
-    outside.  As a guard against a misconfigured quadrature the total
-    mass is checked against 1 to 1e-8 before anything else is computed.
+    at the kink x = y and, for a > 0, at y -+ ln(1/eps)/a wherever those
+    fall inside (0, 1).  Past them the section is below rounding, so each
+    side of the peak keeps its full panel count however sharp the peak
+    is.  The probability intervals mean +- k std are clipped to [0, 1],
+    which loses no mass since the density vanishes outside.  As a guard
+    against a misconfigured quadrature the total mass is checked against
+    1 to 1e-8 before anything else is computed.
     """
     y = float(_as_open_unit("y", y))
-    spec = params.quad.with_splits(y)
+    splits = [y]
+    if params.a > 0.0:
+        reach = _DECAY_CUTOFF / params.a
+        splits += [p for p in (y - reach, y + reach) if 0.0 < p < 1.0]
+    spec = params.quad.with_splits(*splits)
 
     def dens(x):
         return normalized_green(params, x, y)

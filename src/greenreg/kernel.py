@@ -9,6 +9,7 @@ probability density on [0, 1].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,7 +31,7 @@ class KernelParams:
     Parameters
     ----------
     a : float
-        Nonnegative coefficient of the zeroth-order term.
+        Finite, nonnegative coefficient of the zeroth-order term.
     series_terms : int
         Truncation order of the sine-series form.  The tail is bounded by
         2/(pi^2 n), so the default pins series evaluation near 2e-6.
@@ -43,8 +44,8 @@ class KernelParams:
     quad: QuadratureSpec = DEFAULT_QUADRATURE
 
     def __post_init__(self):
-        if not self.a >= 0.0:
-            raise ValueError(f"coefficient a must be nonnegative, got {self.a!r}")
+        if not (math.isfinite(self.a) and self.a >= 0.0):
+            raise ValueError(f"coefficient a must be finite and nonnegative, got {self.a!r}")
         if self.series_terms < 1:
             raise ValueError(f"series_terms must be positive, got {self.series_terms!r}")
 

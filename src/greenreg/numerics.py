@@ -7,7 +7,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 
 class SingularMatrixError(ArithmeticError):
@@ -134,6 +133,10 @@ def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         for the covariance matrices built downstream points at the data
         column that became linearly dependent on its predecessors.
     """
+    # imported here so that loading the package (and every CLI command)
+    # does not pay scipy's start-up cost; prediction needs no solve
+    import scipy.linalg
+
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import KernelParams, green_closed, normalized_green
+from .kernel import KernelParams, green_closed, l1_norm, normalized_green
 from .numerics import SingularMatrixError, solve_linear
 
 # abscissae closer than this make the covariance matrix numerically singular
@@ -67,7 +67,6 @@ class QueryGrid:
     """Query abscissae, all strictly inside (0, 1)."""
 
     x_star: np.ndarray
-    delta: float = 0.01
 
     def __post_init__(self):
         x_star = np.atleast_1d(np.asarray(self.x_star, dtype=float))
@@ -75,8 +74,6 @@ class QueryGrid:
             raise ValueError("at least one query abscissa is required")
         if not np.all(np.isfinite(x_star)) or np.any(x_star <= 0.0) or np.any(x_star >= 1.0):
             raise ValueError("query abscissae must lie strictly inside (0, 1)")
-        if not self.delta > 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta!r}")
         object.__setattr__(self, "x_star", x_star)
 
     @classmethod
@@ -90,7 +87,7 @@ class QueryGrid:
         m = math.ceil(1.0 / delta)
         if m < 2:
             raise ValueError(f"delta {delta!r} leaves no interior grid points")
-        return cls(x_star=np.arange(1, m) * delta, delta=delta)
+        return cls(x_star=np.arange(1, m) * delta)
 
     def __len__(self) -> int:
         return self.x_star.size
@@ -172,26 +169,61 @@ def _solve_data_system(samples: SampleSet, data_cov: np.ndarray, rhs: np.ndarray
         ) from exc
 
 
+def _bracket_weights(a: float, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
+    """Kriging weights of x on its bracketing sites lo <= x < hi.
+
+    sinh(a (hi - x)) / sinh(a (hi - lo)) and its mirror, written with
+    decaying exponentials so that no factor overflows at large a; the
+    a = 0 limit is linear interpolation.
+    """
+    if a == 0.0:
+        span = hi - lo
+        return (hi - x) / span, (x - lo) / span
+    denom = np.expm1(-2.0 * a * (hi - lo))
+    w_lo = np.exp(-a * (x - lo)) * np.expm1(-2.0 * a * (hi - x)) / denom
+    w_hi = np.exp(-a * (hi - x)) * np.expm1(-2.0 * a * (x - lo)) / denom
+    return w_lo, w_hi
+
+
 def predict(params: KernelParams, samples: SampleSet, grid: QueryGrid) -> Prediction:
     """Predictive mean, variance and 2-sigma band on the query grid.
 
-    mean = cross_cov^T data_cov^{-1} eta, and per-query variance
-    query_cov[j, j] - cross_cov[:, j]^T data_cov^{-1} cross_cov[:, j].
-    Both go through the pivoted LU solver; the matrix inverse is never
-    formed.  Because the covariance matrix is asymmetric the variances
-    can come out a hair negative, see ``VARIANCE_CLAMP_TOLERANCE``.
+    The dense formulas mean = cross_cov^T data_cov^{-1} eta and variance
+    H(x*, x*) - cross_cov^T data_cov^{-1} cross_cov reduce to two terms
+    per query.  The L1 normalizations cancel from the mean, leaving
+    kriging with G, and G is the covariance of a Markov bridge pinned to
+    zero at 0 and 1, so a query's kriging weights sit only on the two
+    sites bracketing it (the boundary counting as a site of value 0):
+
+        mean = w_lo eta_lo + w_hi eta_hi
+        variance = H(x*, x*) - w_lo H(x*, xi_lo) - w_hi H(x*, xi_hi)
+
+    This takes O((N + M) log N) time and O(N + M) memory, forms no
+    covariance matrix and never factors one; :func:`build_joint_blocks`
+    with :func:`predictive_covariance` remain as the dense reference.
+    Queries need not be sorted.  A query on a site reproduces its
+    ordinate with variance exactly 0; elsewhere the variance is a
+    difference and can come out a hair negative, see
+    ``VARIANCE_CLAMP_TOLERANCE``.
     """
-    blocks = build_joint_blocks(params, samples, grid)
-    weights = _solve_data_system(samples, blocks.data_cov, samples.eta)
-    mean = blocks.cross_cov.T @ weights
-    solved_cross = _solve_data_system(samples, blocks.data_cov, blocks.cross_cov)
-    raw_variance = np.diagonal(blocks.query_cov) - np.einsum(
-        "nm,nm->m", blocks.cross_cov, solved_cross
+    x = grid.x_star
+    sites = np.concatenate(([0.0], samples.xi, [1.0]))
+    values = np.concatenate(([0.0], samples.eta, [0.0]))
+    # G vanishes at the pinned boundary sites, so any nonzero norm there
+    # gives them a zero term in the variance
+    norms = np.concatenate(([1.0], l1_norm(params, samples.xi), [1.0]))
+    right = np.searchsorted(sites, x, side="right")
+    left = right - 1
+    w_lo, w_hi = _bracket_weights(params.a, x, sites[left], sites[right])
+    mean = w_lo * values[left] + w_hi * values[right]
+    explained = (
+        w_lo * green_closed(params, x, sites[left]) / norms[left]
+        + w_hi * green_closed(params, x, sites[right]) / norms[right]
     )
-    variance, clamped_count = _clamp_variances(raw_variance)
+    variance, clamped_count = _clamp_variances(normalized_green(params, x, x) - explained)
     std = np.sqrt(variance)
     return Prediction(
-        x_star=grid.x_star,
+        x_star=x,
         mean=mean,
         variance=variance,
         std=std,

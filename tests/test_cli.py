@@ -1,12 +1,17 @@
 """End-to-end command-line behavior: files in, files/stdout out, exit codes."""
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import refvals
+import greenreg
 from greenreg import cli
 from greenreg.kernel import KernelParams
 from greenreg.numerics import SingularMatrixError
@@ -232,6 +237,14 @@ class TestExitCodes:
         assert rc == 1
         assert "nonnegative" in capsys.readouterr().err
 
+    def test_infinite_coefficient_leaves_no_output(self, data_file, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        rc = cli.main(["predict", "--data", str(data_file), "--a", "inf",
+                       "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert "coefficient a must be finite and nonnegative" in capsys.readouterr().err
+
     def test_singular_matrix_exits_two(self, data_file, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise SingularMatrixError(0, 0.0)
@@ -241,3 +254,17 @@ class TestExitCodes:
                        "--out", str(tmp_path / "p.csv")])
         assert rc == 2
         assert "singular" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is only needed by the dense solver; keeping it out of the
+    # import keeps it out of every command's start-up time
+    src = str(Path(greenreg.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = (
+        "import greenreg.cli, sys; "
+        "assert not any(m.startswith('scipy') for m in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

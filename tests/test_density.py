@@ -1,5 +1,6 @@
 """Density summaries of normalized kernel sections."""
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -50,6 +51,35 @@ def test_coarse_quadrature_fails_mass_check():
     params = KernelParams(a=10.0, quad=QuadratureSpec(panel_count=2))
     with pytest.raises(ArithmeticError, match="mass"):
         density_stats(params, 0.3)
+
+
+def _mpmath_mean_std(a, y):
+    """Mean and std of x -> G(x, y) / L1(y) by 30-digit mpmath.quad split at y."""
+    with mpmath.workdps(30):
+        a = mpmath.mpf(a)
+        y = mpmath.mpf(y)
+
+        def g(x):
+            lo, hi = min(x, y), max(x, y)
+            return mpmath.sinh(a * lo) * mpmath.sinh(a * (1 - hi)) / (a * mpmath.sinh(a))
+
+        def quad(f):
+            return mpmath.quad(f, [0, y, 1])
+
+        mass = quad(g)
+        mean = quad(lambda x: x * g(x)) / mass
+        variance = quad(lambda x: (x - mean) ** 2 * g(x)) / mass
+        return float(mean), float(mpmath.sqrt(variance))
+
+
+@pytest.mark.parametrize("y", [0.001, 0.05, 0.95, 0.999])
+@pytest.mark.parametrize("a", [100.0, 1000.0])
+def test_sharp_sections_near_the_ends(a, y):
+    # the default quadrature used to miss the mass check here
+    stats = density_stats(KernelParams(a=a), y)
+    mean, std = _mpmath_mean_std(a, y)
+    assert abs(stats.mean - mean) <= 1e-8
+    assert abs(stats.std - std) <= 1e-8
 
 
 @pytest.mark.parametrize("y", [0.0, 1.0])

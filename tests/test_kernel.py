@@ -22,7 +22,7 @@ A10 = KernelParams(a=10.0)
 
 
 class TestKernelParams:
-    @pytest.mark.parametrize("a", [-1.0, -1e-12, np.nan])
+    @pytest.mark.parametrize("a", [-1.0, -1e-12, np.nan, np.inf])
     def test_rejects_bad_coefficient(self, a):
         with pytest.raises(ValueError, match="nonnegative"):
             KernelParams(a=a)

@@ -1,5 +1,8 @@
 """Sample validation, covariance blocks and noise-free prediction."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -7,6 +10,7 @@ from numpy.testing import assert_allclose
 import refvals
 from greenreg.kernel import KernelParams, green_series, normalized_green
 from greenreg.numerics import SingularMatrixError
+from greenreg import regression
 from greenreg.regression import (
     QueryGrid,
     SampleSet,
@@ -157,6 +161,69 @@ class TestPredict:
         pred = predict(A1, one, QueryGrid(x_star=[0.5]))
         assert_allclose(pred.mean[0], 2.0, atol=1e-12)
         assert pred.variance[0] <= 1e-12
+
+
+class TestTwoNeighbourPredictor:
+    @pytest.mark.parametrize("a", [0.0, 1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("n", [5, 50, 200])
+    def test_matches_dense_oracle(self, n, a):
+        rng = np.random.default_rng(1000 * n + int(a))
+        samples = SampleSet(xi=np.sort(rng.uniform(0.01, 0.99, n)), eta=rng.normal(size=n))
+        x = np.concatenate(
+            (
+                rng.uniform(0.0, 1.0, 200),
+                samples.xi[::2],
+                [1e-9, 1e-6, 5e-4, 1e-3, 1.0 - 1e-3, 1.0 - 5e-4, 1.0 - 1e-6, 1.0 - 1e-9],
+            )
+        )
+        grid = QueryGrid(x_star=rng.permutation(x))
+        params = KernelParams(a=a)
+        pred = predict(params, samples, grid)
+
+        blocks = build_joint_blocks(params, samples, grid)
+        weights = _solve_data_system(samples, blocks.data_cov, samples.eta)
+        dense_mean = blocks.cross_cov.T @ weights
+        prior = np.diagonal(blocks.query_cov)
+        dense_var = prior - np.einsum(
+            "nm,nm->m",
+            blocks.cross_cov,
+            _solve_data_system(samples, blocks.data_cov, blocks.cross_cov),
+        )
+        assert np.all(np.abs(pred.mean - dense_mean) <= 1e-9 * np.abs(samples.eta).max())
+        assert np.all(np.abs(pred.variance - dense_var) <= 1e-9 * prior)
+        on_site = np.isin(grid.x_star, samples.xi)
+        hit = np.searchsorted(samples.xi, grid.x_star[on_site])
+        assert np.array_equal(pred.mean[on_site], samples.eta[hit])
+        assert np.all(pred.variance[on_site] == 0.0)
+
+    def test_large_coefficient_is_quiet_and_finite(self, samples):
+        x = np.concatenate(([1e-9, 1e-3], QueryGrid.uniform().x_star, [1.0 - 1e-9]))
+        grid = QueryGrid(x_star=x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pred = predict(KernelParams(a=1000.0), samples, grid)
+        for values in (pred.mean, pred.variance, pred.std, pred.band_lo, pred.band_hi):
+            assert np.all(np.isfinite(values))
+        assert np.all(pred.variance >= 0.0)
+
+    def test_memory_is_linear_and_no_solve(self, monkeypatch):
+        # the dense path would need an M x M block of 80 GB here
+        def no_solve(*args, **kwargs):
+            raise AssertionError("predict must not factor a covariance matrix")
+
+        monkeypatch.setattr(regression, "solve_linear", no_solve)
+        rng = np.random.default_rng(7)
+        samples = SampleSet(xi=np.linspace(0.0005, 0.9995, 1000), eta=rng.normal(size=1000))
+        grid = QueryGrid.uniform(1e-5)
+        assert len(grid) == 99_999
+        tracemalloc.start()
+        try:
+            pred = predict(KernelParams(a=10.0), samples, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert np.all(np.isfinite(pred.mean)) and pred.clamped_count == 0
 
 
 class TestVarianceClamp:
