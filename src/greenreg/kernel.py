@@ -10,6 +10,7 @@ probability density on [0, 1].
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -17,9 +18,8 @@ import numpy as np
 
 from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate
 
-# beyond this coefficient the sinh/cosh factors are evaluated in log space;
-# sinh overflows float64 near a = 710, and products degrade well before that
-_LOG_FORM_THRESHOLD = 30.0
+# largest coefficient whose square is a finite double; l1_norm divides by a**2
+MAX_COEFFICIENT = math.sqrt(sys.float_info.max)
 
 _SERIES_CHUNK = 4096
 
@@ -31,7 +31,8 @@ class KernelParams:
     Parameters
     ----------
     a : float
-        Finite, nonnegative coefficient of the zeroth-order term.
+        Nonnegative coefficient of the zeroth-order term, at most
+        ``MAX_COEFFICIENT`` (about 1.34e154) so that a**2 is finite.
     series_terms : int
         Truncation order of the sine-series form.  The tail is bounded by
         2/(pi^2 n), so the default pins series evaluation near 2e-6.
@@ -46,6 +47,11 @@ class KernelParams:
     def __post_init__(self):
         if not (math.isfinite(self.a) and self.a >= 0.0):
             raise ValueError(f"coefficient a must be finite and nonnegative, got {self.a!r}")
+        if self.a > MAX_COEFFICIENT:
+            raise ValueError(
+                f"coefficient a must be nonnegative and at most {MAX_COEFFICIENT:.6g},"
+                f" so that a**2 is a finite double; got {self.a!r}"
+            )
         if self.series_terms < 1:
             raise ValueError(f"series_terms must be positive, got {self.series_terms!r}")
 
@@ -64,42 +70,38 @@ def _as_open_unit(name: str, v) -> np.ndarray:
     return v
 
 
-def _log_sinh(t: np.ndarray) -> np.ndarray:
-    """log(sinh(t)) for t >= 0, overflow-free; -inf at t = 0."""
-    with np.errstate(divide="ignore"):
-        return t + np.log1p(-np.exp(-2.0 * t)) - np.log(2.0)
+def _scaled_sinh(a: float, s):
+    """(1 - exp(-2 a s)) / (2 a), that is exp(-a s) sinh(a s) / a; s at a = 0."""
+    if a == 0.0:
+        return s
+    return -np.expm1(-2.0 * a * s) / (2.0 * a)
 
 
-def _log_cosh(t: np.ndarray) -> np.ndarray:
-    """log(cosh(t)) for t >= 0, overflow-free."""
-    return t + np.log1p(np.exp(-2.0 * t)) - np.log(2.0)
+def _scaled_sinh_ratio(a: float, s):
+    """(1 - exp(-2 a s)) / (1 - exp(-2 a)) = exp(a (1 - s)) sinh(a s) / sinh a; s at a = 0."""
+    if a == 0.0:
+        return s
+    return np.expm1(-2.0 * a * s) / np.expm1(-2.0 * a)
 
 
 def green_closed(params: KernelParams, x, y):
     """Green's function G(x, y) in closed form.
 
     For a > 0 this is sinh(a min(x,y)) sinh(a (1 - max(x,y))) / (a sinh a);
-    the a = 0 limit is min(x,y) (1 - max(x,y)).  Symmetric in its
-    arguments, nonnegative, and exactly zero whenever either argument
-    touches the boundary.  Inputs broadcast; scalars in, scalar out.
+    the a = 0 limit is min(x,y) (1 - max(x,y)).  It is evaluated as
+    exp(-a (hi - lo)) * _scaled_sinh(lo) * _scaled_sinh_ratio(1 - hi),
+    whose exponents are all <= 0 and whose ``1 - exp(-t)`` factors go
+    through expm1, so one formula is accurate from a = 0 up to
+    ``MAX_COEFFICIENT``.  Symmetric in its arguments, nonnegative, and
+    exactly zero whenever either argument touches the boundary.  Inputs
+    broadcast; scalars in, scalar out.
     """
     x = _as_unit("x", x)
     y = _as_unit("y", y)
     lo = np.minimum(x, y)
     hi = np.maximum(x, y)
     a = params.a
-    if a == 0.0:
-        g = lo * (1.0 - hi)
-    elif a <= _LOG_FORM_THRESHOLD:
-        g = np.sinh(a * lo) * np.sinh(a * (1.0 - hi)) / (a * np.sinh(a))
-    else:
-        log_g = (
-            _log_sinh(a * lo)
-            + _log_sinh(a * (1.0 - hi))
-            - np.log(a)
-            - _log_sinh(np.asarray(a))
-        )
-        g = np.exp(log_g)
+    g = np.exp(-a * (hi - lo)) * _scaled_sinh(a, lo) * _scaled_sinh_ratio(a, 1.0 - hi)
     return g if g.ndim else float(g)
 
 
@@ -162,27 +164,26 @@ def normalized_green(params: KernelParams, x, y):
 
 
 def _green_dx_below(params: KernelParams, x, y: float):
-    """d/dx G(x, y) on the branch x < y (left-sided limit at x = y)."""
+    """d/dx G(x, y) on the branch x < y (left-sided limit at x = y).
+
+    cosh(a x) sinh(a (1 - y)) / sinh(a), in decaying exponentials.
+    """
     x = np.asarray(x, dtype=float)
     a = params.a
-    if a == 0.0:
-        return np.full(x.shape, 1.0 - y)
-    if a <= _LOG_FORM_THRESHOLD:
-        return np.cosh(a * x) * np.sinh(a * (1.0 - y)) / np.sinh(a)
-    log_d = _log_cosh(a * x) + _log_sinh(np.asarray(a * (1.0 - y))) - _log_sinh(np.asarray(a))
-    return np.exp(log_d)
+    cosh_part = np.exp(-a * (y - x)) * (1.0 + np.exp(-2.0 * a * x)) / 2.0
+    return cosh_part * _scaled_sinh_ratio(a, 1.0 - y)
 
 
 def _green_dx_above(params: KernelParams, x, y: float):
-    """d/dx G(x, y) on the branch x > y (right-sided limit at x = y)."""
+    """d/dx G(x, y) on the branch x > y (right-sided limit at x = y).
+
+    The mirror image of :func:`_green_dx_below` under x -> 1 - x,
+    y -> 1 - y, with the sign flipped.
+    """
     x = np.asarray(x, dtype=float)
     a = params.a
-    if a == 0.0:
-        return np.full(x.shape, -y)
-    if a <= _LOG_FORM_THRESHOLD:
-        return -np.sinh(a * y) * np.cosh(a * (1.0 - x)) / np.sinh(a)
-    log_d = _log_sinh(np.asarray(a * y)) + _log_cosh(a * (1.0 - x)) - _log_sinh(np.asarray(a))
-    return -np.exp(log_d)
+    cosh_part = np.exp(-a * (x - y)) * (1.0 + np.exp(-2.0 * a * (1.0 - x))) / 2.0
+    return -cosh_part * _scaled_sinh_ratio(a, y)
 
 
 def rkhs_inner_product(

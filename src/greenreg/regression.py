@@ -13,7 +13,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import KernelParams, green_closed, l1_norm, normalized_green
+from .kernel import (
+    KernelParams,
+    _as_unit,
+    _scaled_sinh,
+    _scaled_sinh_ratio,
+    green_closed,
+    l1_norm,
+    normalized_green,
+)
 from .numerics import SingularMatrixError, solve_linear
 
 # abscissae closer than this make the covariance matrix numerically singular
@@ -251,12 +259,40 @@ def discretized_solution(params: KernelParams, samples: SampleSet, delta: float,
 
     Riemann-sum surrogate for the source integral of G against a forcing
     term sampled by the ordinates on a grid of step ``delta``.  Inherits
-    the boundary zeros of G.  ``x`` may be a scalar or an array anywhere
-    in [0, 1].
+    the boundary zeros of G exactly.  ``x`` may be a scalar or an array
+    anywhere in [0, 1], in any order.
+
+    G(x, xi) = exp(-a (hi - lo)) S(lo) R(1 - hi), with S = _scaled_sinh
+    and R = _scaled_sinh_ratio, factors into a part in x and a part in
+    xi on each side of the diagonal.  So the sites at or left of x
+    contribute R(1 - x) exp(-a (x - xi_l)) P and those right of x
+    contribute S(x) exp(-a (xi_r - x)) Q, where xi_l <= x < xi_r are the
+    bracketing sites (0 and 1 at the ends).  P and Q are running sums
+    over the sites, damped by exp(-a gap) per step, taken once left to
+    right and once right to left.  This costs O(N + M log N) time and
+    O(N + M) memory; no M x N kernel block is formed.
     """
     if not delta > 0.0:
         raise ValueError(f"delta must be positive, got {delta!r}")
-    xv = np.asarray(x, dtype=float)
-    g = green_closed(params, xv[..., None], samples.xi)
-    out = delta * (g @ samples.eta)
+    xv = _as_unit("x", x)
+    a = params.a
+    xi, eta = samples.xi, samples.eta
+    decay = np.exp(-a * np.diff(xi)).tolist()
+    p = [0.0]
+    for d, v in zip([0.0] + decay, (eta * _scaled_sinh(a, xi)).tolist()):
+        p.append(p[-1] * d + v)
+    q = [0.0]
+    from_right = (eta * _scaled_sinh_ratio(a, 1.0 - xi)).tolist()[::-1]
+    for d, v in zip([0.0] + decay[::-1], from_right):
+        q.append(q[-1] * d + v)
+    # p[k] sums the sites xi_0 .. xi_{k-1}, q[k] the sites xi_k .. xi_{N-1}
+    p = np.asarray(p)
+    q = np.asarray(q[::-1])
+    k = np.searchsorted(xi, xv, side="right")
+    sites = np.concatenate(([0.0], xi, [1.0]))
+    lo, hi = sites[k], sites[k + 1]
+    out = delta * (
+        np.exp(-a * (xv - lo)) * _scaled_sinh_ratio(a, 1.0 - xv) * p[k]
+        + np.exp(-a * (hi - xv)) * _scaled_sinh(a, xv) * q[k]
+    )
     return out if np.ndim(x) else float(out)

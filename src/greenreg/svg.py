@@ -28,7 +28,8 @@ def _extents(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float, float
 
 
 def _poly_points(xs: np.ndarray, ys: np.ndarray) -> str:
-    return " ".join(f"{_fmt(x)},{_fmt(-y)}" for x, y in zip(xs, ys))
+    # "%.6g" renders a float exactly as _fmt does, at one call per point
+    return " ".join("%.6g,%.6g" % p for p in zip(xs.tolist(), (-ys).tolist()))
 
 
 def _document(body: str, x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> str:

@@ -86,7 +86,7 @@ EXACT = dict(
         p_1s=0.733869385203893,
         p_2s=0.935915678361465,
     ),
-    # large-coefficient values exercising the log-space branch
+    # large-coefficient values, where sinh(a) alone would overflow or lose digits
     g_quarters_a50=1.388794386457827e-13,  # G(0.25, 0.75), a = 50
     g_quarters_a200=9.30018994005209e-47,
     g_quarters_a1000=3.562288203370643e-221,

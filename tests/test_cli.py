@@ -12,10 +12,10 @@ from numpy.testing import assert_allclose
 
 import refvals
 import greenreg
-from greenreg import cli
+from greenreg import cli, svg
 from greenreg.kernel import KernelParams
 from greenreg.numerics import SingularMatrixError
-from greenreg.regression import QueryGrid, SampleSet, predict
+from greenreg.regression import Prediction, QueryGrid, SampleSet, predict
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -245,6 +245,15 @@ class TestExitCodes:
         assert not out.exists()
         assert "coefficient a must be finite and nonnegative" in capsys.readouterr().err
 
+    def test_coefficient_whose_square_overflows_leaves_no_output(self, data_file, tmp_path,
+                                                                  capsys):
+        out = tmp_path / "p.csv"
+        rc = cli.main(["predict", "--data", str(data_file), "--a", "1e160",
+                       "--out", str(out)])
+        assert rc == 1
+        assert not out.exists()
+        assert "a**2" in capsys.readouterr().err
+
     def test_singular_matrix_exits_two(self, data_file, tmp_path, capsys, monkeypatch):
         def boom(*args, **kwargs):
             raise SingularMatrixError(0, 0.0)
@@ -254,6 +263,50 @@ class TestExitCodes:
                        "--out", str(tmp_path / "p.csv")])
         assert rc == 2
         assert "singular" in capsys.readouterr().err
+
+
+class TestOutputFormat:
+    # signed zeros, the ends of the double range, and values exactly halfway
+    # between two 12- or 6-significant-digit renderings
+    VALUES = np.array([
+        0.0, -0.0, 1e-300, 5e-324, 1e300, -1e300, -2.5, -1e-300, 1.0 / 3.0,
+        100000000000.5, 100000000001.5, -100000000000.5, 100000.5, 100001.5, -100000.5,
+    ])
+
+    @staticmethod
+    def per_value_points(xs, ys):
+        return " ".join(f"{x:.6g},{-y:.6g}" for x, y in zip(xs, ys))
+
+    def test_predict_and_solve_match_per_value_rendering(self, data_file, tmp_path,
+                                                         monkeypatch):
+        v = self.VALUES
+        columns = (v, v[::-1], np.abs(v), np.roll(v, 3), -v, np.roll(v, 5))
+        pred = Prediction(*columns, clamped_count=2)
+        monkeypatch.setattr(cli, "predict", lambda *args: pred)
+        monkeypatch.setattr(cli, "_axis_grid", lambda delta: v)
+        monkeypatch.setattr(cli, "discretized_solution", lambda *args: v[::-1])
+        pred_out = tmp_path / "pred.csv"
+        sol_out = tmp_path / "sol.csv"
+        for command, out in (("predict", pred_out), ("solve", sol_out)):
+            rc = cli.main([command, "--data", str(data_file), "--a", "1", "--out", str(out),
+                           "--format", "svg"])
+            assert rc == 0
+
+        want = "x_star,mean,variance,std,band_lo,band_hi\n"
+        for row in zip(*columns):
+            want += ",".join(f"{c:.12g}" for c in row) + "\n"
+        want += "# clamped=2\n"
+        assert pred_out.read_bytes() == want.encode()
+        want = "x,u\n" + "".join(f"{x:.12g},{u:.12g}\n" for x, u in zip(v, v[::-1]))
+        assert sol_out.read_bytes() == want.encode()
+
+        monkeypatch.setattr(svg, "_poly_points", self.per_value_points)
+        samples = cli.load_samples(data_file)
+        band = svg.band_plot(pred.x_star, pred.mean, pred.band_lo, pred.band_hi,
+                             samples.xi, samples.eta)
+        assert "-0," in band and ",-0 " in band
+        assert (tmp_path / "pred.svg").read_bytes() == band.encode()
+        assert (tmp_path / "sol.svg").read_bytes() == svg.curve_plot(v, v[::-1]).encode()
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,11 +1,13 @@
 """Closed-form kernel, series cross-check, normalization, reproducing relation."""
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 import refvals
 from greenreg.kernel import (
+    MAX_COEFFICIENT,
     KernelParams,
     _green_dx_above,
     _green_dx_below,
@@ -22,10 +24,16 @@ A10 = KernelParams(a=10.0)
 
 
 class TestKernelParams:
-    @pytest.mark.parametrize("a", [-1.0, -1e-12, np.nan, np.inf])
+    @pytest.mark.parametrize("a", [-1.0, -1e-12, np.nan, np.inf, 1e160])
     def test_rejects_bad_coefficient(self, a):
         with pytest.raises(ValueError, match="nonnegative"):
             KernelParams(a=a)
+
+    def test_coefficient_bound_is_where_the_square_overflows(self):
+        assert np.isfinite(np.float64(MAX_COEFFICIENT) ** 2)
+        KernelParams(a=MAX_COEFFICIENT)
+        with pytest.raises(ValueError, match="a\\*\\*2"):
+            KernelParams(a=np.nextafter(MAX_COEFFICIENT, np.inf))
 
     def test_rejects_empty_series(self):
         with pytest.raises(ValueError, match="series_terms"):
@@ -84,13 +92,37 @@ class TestGreenClosed:
         [(50.0, "g_quarters_a50"), (200.0, "g_quarters_a200"), (1000.0, "g_quarters_a1000")],
     )
     def test_log_space_branch(self, a, key):
-        # these underflow or overflow badly without log-space evaluation
+        # sinh(a) alone overflows near a = 710; these need the decaying-exponential form
         assert_allclose(green_closed(KernelParams(a=a), 0.25, 0.75), refvals.EXACT[key], rtol=1e-12)
 
     def test_log_space_continuity_at_threshold(self):
+        # a = 30 was the switch to a log-space branch; one formula now covers every a
         below = green_closed(KernelParams(a=30.0), 0.4, 0.6)
         above = green_closed(KernelParams(a=30.0 + 1e-9), 0.4, 0.6)
         assert_allclose(below, above, rtol=1e-6)
+
+    @pytest.mark.parametrize(
+        "a", [1e-12, 0.5, 31.0, 100.0, 700.0, 1e4, 1e8, 1e12, 1e16, 1e150]
+    )
+    def test_matches_mpmath_at_every_scale(self, a):
+        # on and within a few 1/a of the diagonal, where G is representable
+        # at every a; random pairs too while a is small enough for them
+        points = [
+            (x, x + t / a)
+            for x in (1e-3, 0.1, 0.37, 0.5, 0.9, 0.999)
+            for t in (0.0, 0.25, 1.0, 3.0)
+            if x + t / a < 1.0
+        ]
+        if a <= 100.0:
+            points += [tuple(p) for p in np.random.default_rng(3).uniform(0.0, 1.0, (40, 2))]
+        params = KernelParams(a=a)
+        with mpmath.workdps(60):
+            ma = mpmath.mpf(a)
+            for x, y in points:
+                lo, hi = mpmath.mpf(min(x, y)), mpmath.mpf(max(x, y))
+                want = mpmath.sinh(ma * lo) * mpmath.sinh(ma * (1 - hi)) / (ma * mpmath.sinh(ma))
+                got = green_closed(params, x, y)
+                assert abs(got - want) <= 1e-14 * want, (x, y)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1, np.nan])
     def test_domain_rejected(self, bad):

@@ -8,7 +8,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 import refvals
-from greenreg.kernel import KernelParams, green_series, normalized_green
+from greenreg.cli import _axis_grid
+from greenreg.kernel import KernelParams, green_closed, green_series, normalized_green
 from greenreg.numerics import SingularMatrixError
 from greenreg import regression
 from greenreg.regression import (
@@ -287,3 +288,39 @@ class TestDiscretizedSolution:
     def test_rejects_bad_delta(self, samples):
         with pytest.raises(ValueError, match="delta"):
             discretized_solution(A1, samples, 0.0, 0.5)
+
+    @pytest.mark.parametrize("a", [0.0, 1e-12, 1.0, 10.0, 100.0, 1000.0, 1e6])
+    @pytest.mark.parametrize("n", [1, 5, 50, 1000])
+    def test_scan_matches_dense_superposition(self, n, a):
+        rng = np.random.default_rng(10 * n + int(np.log10(a + 1.0)))
+        samples = SampleSet(xi=np.sort(rng.uniform(0.01, 0.99, n)), eta=rng.normal(size=n))
+        x = rng.permutation(np.concatenate((rng.uniform(0.0, 1.0, 300), [0.0, 1.0], samples.xi)))
+        params = KernelParams(a=a)
+        delta = 1e-3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = discretized_solution(params, samples, delta, x)
+        g = green_closed(params, x[:, None], samples.xi)
+        dense = delta * (g @ samples.eta)
+        scale = delta * (np.abs(g) @ np.abs(samples.eta))
+        assert np.all(np.abs(got - dense) <= 1e-12 * scale)
+        assert np.all(got[(x == 0.0) | (x == 1.0)] == 0.0)
+
+    @pytest.mark.parametrize("bad", [-1e-9, 1.5, np.nan])
+    def test_rejects_abscissae_outside_unit_interval(self, samples, bad):
+        with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
+            discretized_solution(A1, samples, 0.01, np.array([0.5, bad]))
+
+    def test_memory_is_linear(self):
+        # a dense (M+1) x N kernel block would take 800 MB here
+        rng = np.random.default_rng(11)
+        samples = SampleSet(xi=np.linspace(0.0005, 0.9995, 1000), eta=rng.normal(size=1000))
+        xs = _axis_grid(1e-5)
+        tracemalloc.start()
+        try:
+            us = discretized_solution(A10, samples, 1e-5, xs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        assert us.shape == xs.shape and us[0] == 0.0 and us[-1] == 0.0
