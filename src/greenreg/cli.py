@@ -1,9 +1,10 @@
 """Command-line front end: predictions, matrix dumps, density reports, curves.
 
 Exit statuses: 0 on success, 1 on validation or parse errors (bad flags,
-malformed data files, out-of-range values), 2 on numerical failure (a
-density whose quadrature misses its own mass check).  Validation always
-happens before the output path is touched.
+malformed data files, out-of-range values) and on unreadable or
+unwritable files.  Every computation is in closed form, so no valid input
+fails numerically.  Validation always happens before the output path is
+touched.
 """
 
 from __future__ import annotations
@@ -30,12 +31,15 @@ class RunConfig:
 
     a: float
     delta: float = 0.01
-    data_path: Path | None = None
+    data: Path | None = None
     queries: tuple[float, ...] | None = None
-    output_path: Path | None = None
+    out: Path | None = None
     format: str = "csv"
+    y: float | None = None
 
     def __post_init__(self):
+        if self.format == "svg" and self.out is None:
+            raise ValueError("--format svg requires --out for the curve file")
         if not 0.0 < self.delta <= 0.5:
             raise ValueError(f"delta must lie in (0, 0.5], got {self.delta!r}")
         if self.format not in _FORMATS:
@@ -90,7 +94,7 @@ def _axis_grid(delta: float) -> np.ndarray:
 
 def cmd_predict(config: RunConfig) -> int:
     """Write the predictive table as CSV; with format=svg also a band plot."""
-    samples = load_samples(config.data_path)
+    samples = load_samples(config.data)
     if config.queries is not None:
         grid = QueryGrid(x_star=np.asarray(config.queries))
     else:
@@ -101,7 +105,7 @@ def cmd_predict(config: RunConfig) -> int:
     template = ",".join(["%.12g"] * 6) + "\n"
     columns = (pred.x_star, pred.mean, pred.variance, pred.std, pred.band_lo, pred.band_hi)
     rows = zip(*(c.tolist() for c in columns))
-    config.output_path.write_text(
+    config.out.write_text(
         "x_star,mean,variance,std,band_lo,band_hi\n"
         + "".join(template % row for row in rows)
         + f"# clamped={pred.clamped_count}\n",
@@ -111,43 +115,43 @@ def cmd_predict(config: RunConfig) -> int:
         doc = svg.band_plot(
             pred.x_star, pred.mean, pred.band_lo, pred.band_hi, samples.xi, samples.eta
         )
-        config.output_path.with_suffix(".svg").write_text(doc, encoding="utf-8")
+        config.out.with_suffix(".svg").write_text(doc, encoding="utf-8")
     return 0
 
 
 def cmd_matrix(config: RunConfig) -> int:
     """Print the data covariance matrix to stdout, three decimals."""
-    samples = load_samples(config.data_path)
+    samples = load_samples(config.data)
     matrix = build_cov_matrix(KernelParams(a=config.a), samples)
     for row in matrix:
         print(",".join(f"{v:.3f}" for v in row))
     return 0
 
 
-def cmd_density(config: RunConfig, y: float) -> int:
-    """Print density stats for the section at ``y``; optionally plot it."""
+def cmd_density(config: RunConfig) -> int:
+    """Print density stats for the section at ``config.y``; optionally plot it."""
     params = KernelParams(a=config.a)
-    stats = density_stats(params, y)
+    stats = density_stats(params, config.y)
     for name in ("mean", "variance", "std", "p_1s", "p_2s"):
         print(f"{name}={_num(getattr(stats, name))}")
     if config.format == "svg":
         xs = _axis_grid(config.delta)
-        ys = normalized_green(params, xs, y)
-        config.output_path.write_text(svg.curve_plot(xs, ys), encoding="utf-8")
+        ys = normalized_green(params, xs, config.y)
+        config.out.write_text(svg.curve_plot(xs, ys), encoding="utf-8")
     return 0
 
 
 def cmd_solve(config: RunConfig) -> int:
     """Write the superposed-response curve as x,u CSV; optionally plot it."""
-    samples = load_samples(config.data_path)
+    samples = load_samples(config.data)
     xs = _axis_grid(config.delta)
     us = discretized_solution(KernelParams(a=config.a), samples, config.delta, xs)
     rows = zip(xs.tolist(), us.tolist())
-    config.output_path.write_text(
+    config.out.write_text(
         "x,u\n" + "".join("%.12g,%.12g\n" % row for row in rows), encoding="utf-8"
     )
     if config.format == "svg":
-        config.output_path.with_suffix(".svg").write_text(
+        config.out.with_suffix(".svg").write_text(
             svg.curve_plot(xs, us), encoding="utf-8"
         )
     return 0
@@ -176,10 +180,12 @@ def _build_parser() -> argparse.ArgumentParser:
         " Green's-function kernel on (0, 1).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    coef = argparse.ArgumentParser(add_help=False)
+    coef.add_argument("--a", type=float, required=True, help="nonnegative kernel coefficient")
+    data = argparse.ArgumentParser(add_help=False)
+    data.add_argument("--data", type=Path, required=True, help="two-column x,y CSV")
 
-    p = sub.add_parser("predict", help="predictive mean/variance table")
-    p.add_argument("--a", type=float, required=True, help="nonnegative kernel coefficient")
-    p.add_argument("--data", type=Path, required=True, help="two-column x,y CSV")
+    p = sub.add_parser("predict", parents=[coef, data], help="predictive mean/variance table")
     p.add_argument("--delta", type=float, default=0.01, help="grid step (default 0.01)")
     p.add_argument(
         "--queries",
@@ -195,12 +201,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="svg additionally writes a band plot next to the CSV",
     )
 
-    p = sub.add_parser("matrix", help="print the data covariance matrix")
-    p.add_argument("--a", type=float, required=True, help="nonnegative kernel coefficient")
-    p.add_argument("--data", type=Path, required=True, help="two-column x,y CSV")
+    sub.add_parser("matrix", parents=[coef, data], help="print the data covariance matrix")
 
-    p = sub.add_parser("density", help="density summary of one kernel section")
-    p.add_argument("--a", type=float, required=True, help="nonnegative kernel coefficient")
+    p = sub.add_parser("density", parents=[coef], help="density summary of one kernel section")
     p.add_argument("--y", type=float, required=True, help="anchor point in (0,1)")
     p.add_argument("--delta", type=float, default=0.01, help="curve sampling step (default 0.01)")
     p.add_argument("--out", type=Path, default=None, help="curve SVG path (with --format svg)")
@@ -211,9 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="svg writes the sampled density curve to --out",
     )
 
-    p = sub.add_parser("solve", help="superposed-response curve from the data")
-    p.add_argument("--a", type=float, required=True, help="nonnegative kernel coefficient")
-    p.add_argument("--data", type=Path, required=True, help="two-column x,y CSV")
+    p = sub.add_parser("solve", parents=[coef, data], help="superposed-response curve from the data")
     p.add_argument("--delta", type=float, default=0.01, help="grid step (default 0.01)")
     p.add_argument("--out", type=Path, required=True, help="output CSV path")
     p.add_argument(
@@ -226,45 +227,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = vars(_build_parser().parse_args(argv))
+    # looked up per call, so that rebinding a command in this module takes effect
+    command = {
+        "predict": cmd_predict,
+        "matrix": cmd_matrix,
+        "density": cmd_density,
+        "solve": cmd_solve,
+    }[args.pop("command")]
     try:
-        if args.command == "predict":
-            return cmd_predict(
-                RunConfig(
-                    a=args.a,
-                    delta=args.delta,
-                    data_path=args.data,
-                    queries=args.queries,
-                    output_path=args.out,
-                    format=args.format,
-                )
-            )
-        if args.command == "matrix":
-            return cmd_matrix(RunConfig(a=args.a, data_path=args.data))
-        if args.command == "density":
-            if args.format == "svg" and args.out is None:
-                raise ValueError("--format svg requires --out for the curve file")
-            return cmd_density(
-                RunConfig(
-                    a=args.a,
-                    delta=args.delta,
-                    output_path=args.out,
-                    format=args.format,
-                ),
-                args.y,
-            )
-        return cmd_solve(
-            RunConfig(
-                a=args.a,
-                delta=args.delta,
-                data_path=args.data,
-                output_path=args.out,
-                format=args.format,
-            )
-        )
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return command(RunConfig(**args))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

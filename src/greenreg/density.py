@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
-from .kernel import KernelParams, _as_open_unit, normalized_green
-from .numerics import integrate
+from .kernel import KernelParams, _as_open_unit, _scaled_sinh
 
-# a section decays like exp(-a |x - y|), so beyond |x - y| = _DECAY_CUTOFF / a
-# it has fallen below double rounding relative to its peak
-_DECAY_CUTOFF = -math.log(sys.float_info.epsilon)
+# the closed forms of _side_moments cancel more the smaller z is, about
+# fourfold at z = 2; below it the series are used, which need at most 13 terms
+_SERIES_LIMIT = 2.0
 
 
 @dataclass(frozen=True)
@@ -25,48 +23,72 @@ class DensityStats:
     p_2s: float
 
 
-def density_stats(params: KernelParams, y) -> DensityStats:
-    """Mean, variance and one/two-sigma central masses of x -> H(x, y).
+def _side_moments(z: float) -> tuple[float, float]:
+    """E[s] and E[s^2] under the density on [0, 1] proportional to sinh(z (1 - s)).
 
-    All five numbers come from composite quadrature with the domain split
-    at the kink x = y and, for a > 0, at y -+ ln(1/eps)/a wherever those
-    fall inside (0, 1).  Past them the section is below rounding, so each
-    side of the peak keeps its full panel count however sharp the peak
-    is.  The probability intervals mean +- k std are clipped to [0, 1],
-    which loses no mass since the density vanishes outside.  As a guard
-    against a misconfigured quadrature the total mass is checked against
-    1 to 1e-8 before anything else is computed.
+    They are coth(z/2)/z - h and 2/z^2 - h with h = 1 / (2 sinh^2(z/2)),
+    written with exp(-z) and expm1 so that nothing overflows.  Below
+    ``_SERIES_LIMIT`` both differences cancel, and they are taken as the
+    ratios T3/T2 and 2 T4/T2 of the series T_j = sum_k z^(2k) / (2k + j)!,
+    whose terms are all positive.
+    """
+    if z < _SERIES_LIMIT:
+        term, t2, t3, t4, j = 0.5, 0.0, 0.0, 0.0, 3
+        while term > 1e-20 * t2:
+            t2 += term
+            t3 += term / j
+            t4 += term / (j * (j + 1))
+            term *= z * z / (j * (j + 1))
+            j += 2
+        return t3 / t2, 2.0 * t4 / t2
+    q = math.exp(-z)
+    e1 = -math.expm1(-z)
+    h = 2.0 * q / (e1 * e1)
+    return (1.0 + q) / (z * e1) - h, 2.0 / (z * z) - h
+
+
+def density_stats(params: KernelParams, y) -> DensityStats:
+    """Mean, variance and one/two-sigma central masses of x -> H(x, y), in closed form.
+
+    The section splits at y into two sides.  The left one holds the share
+    p_L = sinh(a y/2) cosh(a (1-y)/2) / sinh(a/2) of the mass, and on a
+    side of length w the density in the distance t from y is proportional
+    to sinh(a (w - t)).  So the moments of t come from
+    :func:`_side_moments` at z = a w, and the share of a side within
+    distance d of y is 1 - (sinh(a (w - d)/2) / sinh(a w/2))^2.  The
+    intervals mean -+ k std are taken as offsets shift -+ k std from y,
+    where shift = mean - y, and clipped to each side; nothing is
+    integrated numerically and the mass is 1 by construction.
     """
     y = float(_as_open_unit("y", y))
-    splits = [y]
-    if params.a > 0.0:
-        reach = _DECAY_CUTOFF / params.a
-        splits += [p for p in (y - reach, y + reach) if 0.0 < p < 1.0]
-    spec = params.quad.with_splits(*splits)
+    a = params.a
+    half = a / 2.0
+    p_left = float(
+        _scaled_sinh(half, y) * (1.0 + math.exp(-a * (1.0 - y))) / (2.0 * _scaled_sinh(half, 1.0))
+    )
+    sides = []
+    for w, p in ((y, p_left), (1.0 - y, 1.0 - p_left)):
+        r1, r2 = _side_moments(a * w)
+        sides.append((w, p, w * r1, w * w * r2))
+    (w_l, p_l, m_l, s_l), (w_r, p_r, m_r, s_r) = sides
+    shift = p_r * m_r - p_l * m_l
+    variance = p_l * s_l + p_r * s_r - shift * shift
+    std = math.sqrt(variance)
 
-    def dens(x):
-        return normalized_green(params, x, y)
-
-    mass = integrate(dens, 0.0, 1.0, spec)
-    if abs(mass - 1.0) > 1e-8:
-        raise ArithmeticError(
-            f"density mass {mass!r} deviates from 1 by more than 1e-8;"
-            " increase panel_count"
-        )
-
-    mean = integrate(lambda x: x * dens(x), 0.0, 1.0, spec)
-    variance = integrate(lambda x: (x - mean) ** 2 * dens(x), 0.0, 1.0, spec)
-    std = math.sqrt(max(variance, 0.0))
+    def within(w, d):
+        d = min(max(d, 0.0), w)
+        ratio = math.exp(-half * d) * _scaled_sinh(half, w - d) / _scaled_sinh(half, w)
+        return 1.0 - ratio * ratio
 
     def central_mass(k):
-        lo = max(0.0, mean - k * std)
-        hi = min(1.0, mean + k * std)
-        if not lo < hi:
-            return 0.0
-        return integrate(dens, lo, hi, spec)
+        lo, hi = shift - k * std, shift + k * std
+        return float(
+            p_l * (within(w_l, -lo) - within(w_l, -hi))
+            + p_r * (within(w_r, hi) - within(w_r, lo))
+        )
 
     return DensityStats(
-        mean=mean,
+        mean=y + shift,
         variance=variance,
         std=std,
         p_1s=central_mass(1.0),

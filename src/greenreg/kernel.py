@@ -16,33 +16,38 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate
+from .numerics import integrate
 
-# largest coefficient whose square is a finite double; l1_norm divides by a**2
+# largest coefficient whose square is a finite double; L1 is about 1/a**2
+# for large a, so past it the norm underflows and H = G / L1 overflows
 MAX_COEFFICIENT = math.sqrt(sys.float_info.max)
+
+# coefficients below this are taken as 0: the a = 0 forms then differ from
+# the exact ones by O(a**2) < 1e-300, while the products a * s inside the
+# closed forms would round in the subnormal range
+TINY_COEFFICIENT = math.sqrt(sys.float_info.min)
 
 _SERIES_CHUNK = 4096
 
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Operator coefficient plus the numeric knobs every routine shares.
+    """Operator coefficient plus the truncation order of the sine series.
 
     Parameters
     ----------
     a : float
         Nonnegative coefficient of the zeroth-order term, at most
         ``MAX_COEFFICIENT`` (about 1.34e154) so that a**2 is finite.
+        Values below ``TINY_COEFFICIENT`` (about 1.49e-154) are stored
+        as 0.0, whose forms are exact for them in double precision.
     series_terms : int
         Truncation order of the sine-series form.  The tail is bounded by
         2/(pi^2 n), so the default pins series evaluation near 2e-6.
-    quad : QuadratureSpec
-        Quadrature settings used by the integral-based routines.
     """
 
     a: float
     series_terms: int = 100_000
-    quad: QuadratureSpec = DEFAULT_QUADRATURE
 
     def __post_init__(self):
         if not (math.isfinite(self.a) and self.a >= 0.0):
@@ -54,6 +59,8 @@ class KernelParams:
             )
         if self.series_terms < 1:
             raise ValueError(f"series_terms must be positive, got {self.series_terms!r}")
+        if self.a < TINY_COEFFICIENT:
+            object.__setattr__(self, "a", 0.0)
 
 
 def _as_unit(name: str, v) -> np.ndarray:
@@ -71,10 +78,15 @@ def _as_open_unit(name: str, v) -> np.ndarray:
 
 
 def _scaled_sinh(a: float, s):
-    """(1 - exp(-2 a s)) / (2 a), that is exp(-a s) sinh(a s) / a; s at a = 0."""
+    """(1 - exp(-2 a s)) / (2 a), that is exp(-a s) sinh(a s) / a; s at a = 0.
+
+    Where 2 a s falls below the normal range the quotient would keep few
+    or none of the digits of s, while s is the value to double precision.
+    """
     if a == 0.0:
         return s
-    return -np.expm1(-2.0 * a * s) / (2.0 * a)
+    t = 2.0 * a * s
+    return np.where(t < sys.float_info.min, s, -np.expm1(-t) / (2.0 * a))
 
 
 def _scaled_sinh_ratio(a: float, s):
@@ -135,21 +147,17 @@ def green_series(params: KernelParams, x, y):
 def l1_norm(params: KernelParams, y):
     """Integral of x -> G(x, y) over [0, 1], in closed form.
 
-    For a > 0 the textbook expression
-    (1 - cosh(a y) + tanh(a/2) sinh(a y)) / a^2 cancels catastrophically
-    once a is large, so it is rearranged into decaying exponentials
-    (1 - exp(-a (1-y) - c) - exp(-a y - c)) / a^2 with
-    c = log(1 + exp(-a)), which is stable for every a.  The a = 0 limit
-    is y (1 - y) / 2.  Only defined for y strictly inside (0, 1): the
+    The integral is 2 sinh(a y / 2) sinh(a (1 - y) / 2) / (a^2 cosh(a / 2)),
+    evaluated as S(y) S(1 - y) / (1 + exp(-a)) with S = _scaled_sinh at
+    a / 2, that is S(s) = (1 - exp(-a s)) / a.  Both factors go through
+    expm1 and no term is subtracted, so the result is accurate to a few
+    ulp for every a from 0 (where it is y (1 - y) / 2) up to
+    ``MAX_COEFFICIENT``.  Only defined for y strictly inside (0, 1): the
     norm vanishes at the endpoints and the normalized kernel degenerates.
     """
     y = _as_open_unit("y", y)
     a = params.a
-    if a == 0.0:
-        out = y * (1.0 - y) / 2.0
-    else:
-        c = np.log1p(np.exp(-a))
-        out = (1.0 - np.exp(-a * (1.0 - y) - c) - np.exp(-a * y - c)) / (a * a)
+    out = _scaled_sinh(a / 2.0, y) * _scaled_sinh(a / 2.0, 1.0 - y) / (1.0 + np.exp(-a))
     return out if out.ndim else float(out)
 
 
@@ -205,7 +213,6 @@ def rkhs_inner_product(
     """
     y = float(_as_open_unit("y", y))
     a_sq = params.a * params.a
-    spec = params.quad
 
     def below(x):
         return du(x) * _green_dx_below(params, x, y) + a_sq * u(x) * green_closed(params, x, y)
@@ -213,4 +220,4 @@ def rkhs_inner_product(
     def above(x):
         return du(x) * _green_dx_above(params, x, y) + a_sq * u(x) * green_closed(params, x, y)
 
-    return integrate(below, 0.0, y, spec) + integrate(above, y, 1.0, spec)
+    return integrate(below, 0.0, y) + integrate(above, y, 1.0)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -62,11 +62,6 @@ class QuadratureSpec:
         if any(q <= p for p, q in zip(pts, pts[1:])):
             raise ValueError("split_points must be strictly increasing")
         object.__setattr__(self, "split_points", pts)
-
-    def with_splits(self, *points: float) -> "QuadratureSpec":
-        """Copy of this spec with ``points`` merged into the split set."""
-        merged = sorted(set(self.split_points).union(float(p) for p in points))
-        return replace(self, split_points=tuple(merged))
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()

@@ -6,9 +6,15 @@ precision.  The decomposition pairs were computed at the grid node
 x* = 40/99 (see DECOMPOSITION_X_STAR), not at 0.4.  Everything in EXACT
 was computed independently at 40-digit precision (mpmath) from the
 closed forms and frozen at full double precision; tests compare against
-these at tight tolerances.
+these at tight tolerances.  ``mp_section`` computes the section
+quantities afresh at 60 or more digits for the sweeps over a and y.
 """
 
+import functools
+import math
+import sys
+
+import mpmath
 import numpy as np
 
 # five-point sample set used throughout
@@ -95,3 +101,79 @@ EXACT = dict(
     h_half_a1000=500.0,
     l1_03_a50=0.0003999998776390715,  # l1_norm(0.3), a = 50
 )
+
+
+# coefficients and anchors of the mpmath sweeps, from the a = 0 limit and
+# a subnormal a up to MAX_COEFFICIENT, and anchors within 1e-4 of either end
+SWEEP_COEFFICIENTS = [
+    0.0, 5e-324, 1e-12, 1e-8, 1e-4, 0.5, 1.0, 10.0, 36.0, 100.0, 1e3, 1e6, 1e12, 1e100,
+    math.sqrt(sys.float_info.max),
+]
+SWEEP_ANCHORS = [1e-4, 1e-3, 0.05, 0.3, 0.5, 0.77, 0.999, 1.0 - 1e-4]
+
+
+@functools.cache
+def mp_section(a, y):
+    """L1(y) and the summary of x -> H(x, y), from the textbook hyperbolic forms.
+
+    The section splits at y into a left side of length y and a right side
+    of length 1 - y; on a side of length w the density in the distance t
+    from y is proportional to sinh(a (w - t)), whose moments and CDF have
+    antiderivatives in cosh and sinh.  The interval masses are differences
+    of the full CDF.  Precision grows with the digits these forms lose:
+    cosh(z) - 1 - z^2/2 for small z = a w, and a w - a d for large a.
+    Below 1e-300, a is evaluated at its a = 0 limit, which the O(a^2)
+    terms move by less than 1e-600.
+    """
+    tiny = a < 1e-300
+    lost = 0.0 if tiny else 4.0 * max(0.0, -math.log10(a * min(y, 1.0 - y))) + max(0.0, math.log10(a))
+    with mpmath.workdps(60 + int(lost)):
+        y_ = mpmath.mpf(y)
+        w_l, w_r = y_, 1 - y_
+        if tiny:
+            p_l = y_
+            l1 = y_ * (1 - y_) / 2
+
+            def moments(w):
+                return w / 3, w * w / 6
+
+            def cdf(w, d):
+                return 1 - ((w - d) / w) ** 2
+
+        else:
+            a_ = mpmath.mpf(a)
+
+            def mass(w):
+                return (mpmath.cosh(a_ * w) - 1) / a_
+
+            def moments(w):
+                z = a_ * w
+                m0 = (mpmath.cosh(z) - 1) / a_
+                m1 = (mpmath.sinh(z) - z) / a_**2
+                m2 = 2 * (mpmath.cosh(z) - 1 - z * z / 2) / a_**3
+                return m1 / m0, m2 / m0
+
+            def cdf(w, d):
+                return (mpmath.cosh(a_ * w) - mpmath.cosh(a_ * (w - d))) / (mpmath.cosh(a_ * w) - 1)
+
+            left = mass(w_l) * mpmath.sinh(a_ * w_r)
+            right = mass(w_r) * mpmath.sinh(a_ * w_l)
+            p_l = left / (left + right)
+            l1 = (left + right) / (a_ * mpmath.sinh(a_))
+        p_r = 1 - p_l
+        m_l, s_l = moments(w_l)
+        m_r, s_r = moments(w_r)
+        shift = p_r * m_r - p_l * m_l
+        variance = p_l * s_l + p_r * s_r - shift**2
+        std = mpmath.sqrt(variance)
+
+        def full_cdf(offset):
+            if offset < 0:
+                return p_l * (1 - cdf(w_l, min(-offset, w_l)))
+            return p_l + p_r * cdf(w_r, min(offset, w_r))
+
+        p_1s, p_2s = (full_cdf(shift + k * std) - full_cdf(shift - k * std) for k in (1, 2))
+        return dict(
+            l1=float(l1), mean=float(y_ + shift), variance=float(variance), std=float(std),
+            p_1s=float(p_1s), p_2s=float(p_2s),
+        )

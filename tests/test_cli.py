@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -14,7 +15,6 @@ import refvals
 import greenreg
 from greenreg import cli, svg
 from greenreg.kernel import KernelParams
-from greenreg.numerics import SingularMatrixError
 from greenreg.regression import Prediction, QueryGrid, SampleSet, predict
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
@@ -254,15 +254,59 @@ class TestExitCodes:
         assert not out.exists()
         assert "a**2" in capsys.readouterr().err
 
-    def test_singular_matrix_exits_two(self, data_file, tmp_path, capsys, monkeypatch):
-        def boom(*args, **kwargs):
-            raise SingularMatrixError(0, 0.0)
 
-        monkeypatch.setattr(cli, "predict", boom)
-        rc = cli.main(["predict", "--data", str(data_file), "--a", "1",
-                       "--out", str(tmp_path / "p.csv")])
-        assert rc == 2
-        assert "singular" in capsys.readouterr().err
+def _run_every_command(data_file, tmp_path, a, capsys):
+    """Run each command at coefficient ``a``; return their stdout and files as bytes."""
+    out = {}
+    for command in ("predict", "matrix", "density", "solve"):
+        argv = [command, "--a", a]
+        if command == "density":
+            argv += ["--y", "0.3", "--format", "svg", "--out", str(tmp_path / "curve.svg")]
+        else:
+            argv += ["--data", str(data_file)]
+        if command in ("predict", "solve"):
+            argv += ["--out", str(tmp_path / f"{command}.csv"), "--format", "svg"]
+        assert cli.main(argv) == 0, argv
+        out[command] = capsys.readouterr().out
+    for name in ("predict.csv", "predict.svg", "solve.csv", "solve.svg", "curve.svg"):
+        out[name] = (tmp_path / name).read_bytes()
+    return out
+
+
+class TestEveryCoefficient:
+    def test_no_command_integrates(self, data_file, tmp_path, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("quadrature called")
+
+        monkeypatch.setattr("greenreg.numerics.integrate", boom)
+        monkeypatch.setattr("greenreg.kernel.integrate", boom)
+        for a in ("0", "1", "100", "1e154"):
+            _run_every_command(data_file, tmp_path, a, capsys)
+
+    @pytest.mark.parametrize("a", ["5e-324", "1e-300", "1e-200"])
+    def test_tiny_coefficient_gives_the_zero_output(self, data_file, tmp_path, capsys, a):
+        zero = _run_every_command(data_file, tmp_path, "0", capsys)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _run_every_command(data_file, tmp_path, a, capsys) == zero
+
+    def test_small_coefficient_matrix_is_finite(self, data_file, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["matrix", "--data", str(data_file), "--a", "1e-8"]) == 0
+        got = np.array([[float(v) for v in line.split(",")]
+                        for line in capsys.readouterr().out.splitlines()])
+        assert got.shape == (5, 5)
+        assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+
+    @pytest.mark.parametrize("a", ["1e-8", "1e12", "1e154"])
+    def test_density_succeeds(self, capsys, a):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["density", "--a", a, "--y", "0.3"]) == 0
+        out = dict(line.split("=") for line in capsys.readouterr().out.splitlines())
+        assert sorted(out) == ["mean", "p_1s", "p_2s", "std", "variance"]
+        assert all(np.isfinite(float(v)) for v in out.values())
 
 
 class TestOutputFormat:

@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 import refvals
 from greenreg.kernel import (
     MAX_COEFFICIENT,
+    TINY_COEFFICIENT,
     KernelParams,
     _green_dx_above,
     _green_dx_below,
@@ -34,6 +35,17 @@ class TestKernelParams:
         KernelParams(a=MAX_COEFFICIENT)
         with pytest.raises(ValueError, match="a\\*\\*2"):
             KernelParams(a=np.nextafter(MAX_COEFFICIENT, np.inf))
+
+    @pytest.mark.parametrize("a", [5e-324, 1e-300, 1e-200, -0.0])
+    def test_tiny_coefficient_is_zero(self, a):
+        assert KernelParams(a=a).a == 0.0
+        assert np.copysign(1.0, KernelParams(a=a).a) == 1.0
+        assert green_closed(KernelParams(a=a), 0.3, 0.5) == green_closed(KernelParams(a=0.0), 0.3, 0.5)
+        assert green_closed(KernelParams(a=a), 0.3, 0.5) == 0.15
+
+    def test_tiny_coefficient_bound_is_kept(self):
+        assert KernelParams(a=TINY_COEFFICIENT).a == TINY_COEFFICIENT
+        assert KernelParams(a=np.nextafter(TINY_COEFFICIENT, 0.0)).a == 0.0
 
     def test_rejects_empty_series(self):
         with pytest.raises(ValueError, match="series_terms"):
@@ -174,6 +186,16 @@ class TestL1Norm:
             spec = QuadratureSpec(split_points=(y,))
             via_quad = integrate(lambda x: green_closed(params, x, y), 0.0, 1.0, spec)
             assert abs(l1_norm(params, y) - via_quad) <= 1e-8
+
+    @pytest.mark.parametrize("a", refvals.SWEEP_COEFFICIENTS)
+    def test_matches_mpmath_at_every_scale(self, a):
+        got = l1_norm(KernelParams(a=a), np.array(refvals.SWEEP_ANCHORS))
+        want = [refvals.mp_section(a, y)["l1"] for y in refvals.SWEEP_ANCHORS]
+        assert_allclose(got, want, rtol=1e-15, atol=0.0)
+
+    def test_anchor_below_the_coefficient_scale(self):
+        # a y = 1e-400 underflows; the norm is y (1 - y) / 2 to double precision
+        assert_allclose(l1_norm(KernelParams(a=1e-100), 1e-300), 5e-301, rtol=1e-15)
 
     def test_positive_inside(self):
         y = np.linspace(1e-6, 1.0 - 1e-6, 101)

@@ -30,11 +30,6 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError, match="split_points"):
             QuadratureSpec(split_points=pts)
 
-    def test_with_splits_merges_and_sorts(self):
-        spec = QuadratureSpec(split_points=(0.5,)).with_splits(0.75, 0.25, 0.5)
-        assert spec.split_points == (0.25, 0.5, 0.75)
-        assert spec.panel_count == 2048
-
 
 class TestIntegrate:
     def test_constant(self):
