@@ -11,25 +11,16 @@ from .density import DensityStats, density_stats
 from .kernel import (
     KernelParams,
     green_closed,
-    green_series,
     l1_norm,
     normalized_green,
     rkhs_inner_product,
 )
-from .numerics import (
-    DEFAULT_QUADRATURE,
-    QuadratureSpec,
-    SingularMatrixError,
-    integrate,
-    solve_linear,
-)
+from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate
 from .regression import (
-    CovarianceBlocks,
     Prediction,
     QueryGrid,
     SampleSet,
     build_cov_matrix,
-    build_joint_blocks,
     discretized_solution,
     predict,
     predictive_covariance,
@@ -38,7 +29,6 @@ from .regression import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CovarianceBlocks",
     "DEFAULT_QUADRATURE",
     "DensityStats",
     "KernelParams",
@@ -46,18 +36,14 @@ __all__ = [
     "QuadratureSpec",
     "QueryGrid",
     "SampleSet",
-    "SingularMatrixError",
     "build_cov_matrix",
-    "build_joint_blocks",
     "density_stats",
     "discretized_solution",
     "green_closed",
-    "green_series",
     "integrate",
     "l1_norm",
     "normalized_green",
     "predict",
     "predictive_covariance",
     "rkhs_inner_product",
-    "solve_linear",
 ]

@@ -1,10 +1,8 @@
 """Green's function of -u'' + a^2 u with zero Dirichlet data on [0, 1].
 
-Two independent evaluation routes are kept side by side: the closed
-hyperbolic form and the truncated sine series.  The closed form is the
-production path; the series exists to cross-check it.  On top of both
-sits the L1 normalization that turns each section y -> G(. , y) into a
-probability density on [0, 1].
+G is evaluated in one closed hyperbolic form, accurate for every a from
+0 to ``MAX_COEFFICIENT``.  On top of it sits the L1 normalization that
+turns each section y -> G(. , y) into a probability density on [0, 1].
 """
 
 from __future__ import annotations
@@ -27,12 +25,10 @@ MAX_COEFFICIENT = math.sqrt(sys.float_info.max)
 # closed forms would round in the subnormal range
 TINY_COEFFICIENT = math.sqrt(sys.float_info.min)
 
-_SERIES_CHUNK = 4096
-
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Operator coefficient plus the truncation order of the sine series.
+    """Operator coefficient.
 
     Parameters
     ----------
@@ -41,13 +37,9 @@ class KernelParams:
         ``MAX_COEFFICIENT`` (about 1.34e154) so that a**2 is finite.
         Values below ``TINY_COEFFICIENT`` (about 1.49e-154) are stored
         as 0.0, whose forms are exact for them in double precision.
-    series_terms : int
-        Truncation order of the sine-series form.  The tail is bounded by
-        2/(pi^2 n), so the default pins series evaluation near 2e-6.
     """
 
     a: float
-    series_terms: int = 100_000
 
     def __post_init__(self):
         if not (math.isfinite(self.a) and self.a >= 0.0):
@@ -57,8 +49,6 @@ class KernelParams:
                 f"coefficient a must be nonnegative and at most {MAX_COEFFICIENT:.6g},"
                 f" so that a**2 is a finite double; got {self.a!r}"
             )
-        if self.series_terms < 1:
-            raise ValueError(f"series_terms must be positive, got {self.series_terms!r}")
         if self.a < TINY_COEFFICIENT:
             object.__setattr__(self, "a", 0.0)
 
@@ -117,31 +107,22 @@ def green_closed(params: KernelParams, x, y):
     return g if g.ndim else float(g)
 
 
-def green_series(params: KernelParams, x, y):
-    """Sine-series form of G, truncated at ``params.series_terms``.
+def _l1_factors(a: float, y):
+    """The factors S(y) and S(1 - y) of L1(y) = S(y) S(1 - y) / (1 + exp(-a)).
 
-    Sum over n of 2 sin(n pi x) sin(n pi y) / ((n pi)^2 + a^2).  Kept as
-    an independent cross-check of :func:`green_closed`; the two agree to
-    roughly the series tail bound 2/(pi^2 n_max).
+    S = _scaled_sinh at a / 2, that is S(s) = (1 - exp(-a s)) / a.
     """
-    x = _as_unit("x", x)
-    y = _as_unit("y", y)
-    shape = np.broadcast_shapes(x.shape, y.shape)
-    xb = np.broadcast_to(x, shape).ravel()
-    yb = np.broadcast_to(y, shape).ravel()
-    a_sq = params.a * params.a
-    acc = np.zeros(xb.size)
-    for start in range(1, params.series_terms + 1, _SERIES_CHUNK):
-        stop = min(start + _SERIES_CHUNK, params.series_terms + 1)
-        n_pi = np.arange(start, stop)[:, None] * np.pi
-        acc += np.einsum(
-            "nk,nk,n->k",
-            np.sin(n_pi * xb),
-            np.sin(n_pi * yb),
-            2.0 / (n_pi[:, 0] ** 2 + a_sq),
-        )
-    out = acc.reshape(shape)
-    return out if shape else float(out)
+    return _scaled_sinh(a / 2.0, y), _scaled_sinh(a / 2.0, 1.0 - y)
+
+
+def _normalize(a: float, g, s_y, s_rest):
+    """H = G(x, y) / L1(y) from G and the factors ``_l1_factors(a, y)``.
+
+    Dividing by the two factors in turn keeps H finite where their
+    product underflows: near an end at large a, L1(y) is about y / a
+    and can fall below the double range while H is about a.
+    """
+    return g / s_y / s_rest * (1.0 + np.exp(-a))
 
 
 def l1_norm(params: KernelParams, y):
@@ -156,8 +137,8 @@ def l1_norm(params: KernelParams, y):
     norm vanishes at the endpoints and the normalized kernel degenerates.
     """
     y = _as_open_unit("y", y)
-    a = params.a
-    out = _scaled_sinh(a / 2.0, y) * _scaled_sinh(a / 2.0, 1.0 - y) / (1.0 + np.exp(-a))
+    s_y, s_rest = _l1_factors(params.a, y)
+    out = s_y * s_rest / (1.0 + np.exp(-params.a))
     return out if out.ndim else float(out)
 
 
@@ -166,9 +147,13 @@ def normalized_green(params: KernelParams, x, y):
 
     For each fixed y in (0, 1) the section x -> H(x, y) is a probability
     density on [0, 1].  Unlike G itself, H is not symmetric: the
-    normalization acts on the second argument only.
+    normalization acts on the second argument only.  H is formed from
+    the factors of the norm, not from the norm itself, so it stays
+    finite where the norm underflows.
     """
-    return green_closed(params, x, y) / l1_norm(params, y)
+    y = _as_open_unit("y", y)
+    out = _normalize(params.a, green_closed(params, x, y), *_l1_factors(params.a, y))
+    return out if np.ndim(out) else float(out)
 
 
 def _green_dx_below(params: KernelParams, x, y: float):

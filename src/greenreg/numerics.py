@@ -1,37 +1,11 @@
-"""Composite quadrature and pivoted dense solves shared by the kernel modules."""
+"""Composite Simpson quadrature, used by ``kernel.rkhs_inner_product``."""
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-
-class SingularMatrixError(ArithmeticError):
-    """LU elimination met a pivot too small to trust.
-
-    Attributes
-    ----------
-    pivot_index : int
-        Column index at which elimination collapsed.  Partial pivoting
-        permutes rows only, so the column index keeps its meaning in the
-        original matrix.
-    pivot : float
-        Magnitude of the offending pivot.
-    """
-
-    def __init__(self, pivot_index: int, pivot: float, detail: str = ""):
-        self.pivot_index = int(pivot_index)
-        self.pivot = float(pivot)
-        msg = (
-            f"matrix is singular to working precision: pivot {self.pivot_index}"
-            f" has magnitude {self.pivot:.3e}"
-        )
-        if detail:
-            msg = f"{msg} ({detail})"
-        super().__init__(msg)
 
 
 @dataclass(frozen=True)
@@ -104,49 +78,3 @@ def integrate(
             )
         total += (weights @ fx) * (b - a) / (3.0 * n)
     return float(total)
-
-
-def solve_linear(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ x = b`` by LU factorization with partial pivoting.
-
-    Parameters
-    ----------
-    a : (n, n) array_like
-        Coefficient matrix; need not be symmetric.
-    b : (n,) or (n, k) array_like
-        One right-hand side or several as columns.
-
-    Returns
-    -------
-    ndarray with the shape of ``b``.
-
-    Raises
-    ------
-    SingularMatrixError
-        When some pivot magnitude drops below ``1e-12 * norm_inf(a)`` (or
-        is exactly zero).  The exception carries the pivot index, which
-        for the covariance matrices built downstream points at the data
-        column that became linearly dependent on its predecessors.
-    """
-    # imported here so that loading the package (and every CLI command)
-    # does not pay scipy's start-up cost; prediction needs no solve
-    import scipy.linalg
-
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"coefficient matrix must be square, got shape {a.shape}")
-    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
-        raise ValueError(
-            f"right-hand side shape {b.shape} does not match matrix shape {a.shape}"
-        )
-    with warnings.catch_warnings():
-        # an exactly zero pivot makes getrf warn; we raise our own error below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a)
-    diag = np.abs(np.diagonal(lu))
-    tol = 1e-12 * np.abs(a).sum(axis=1).max()
-    bad = np.flatnonzero((diag == 0.0) | (diag < tol))
-    if bad.size:
-        raise SingularMatrixError(bad[0], diag[bad[0]])
-    return scipy.linalg.lu_solve((lu, piv), b)

@@ -4,6 +4,9 @@ The observed ordinates are modeled as jointly Gaussian with covariances
 given by normalized kernel evaluations, and prediction conditions the
 query values on the data.  No noise term: the posterior mean passes
 through every sample exactly and the posterior variance vanishes there.
+G is the covariance of a Markov bridge, so conditioning needs no matrix
+solve: a query's weights sit on the two sites bracketing it, and the
+predictive mean, variance and covariance are sums of two terms.
 """
 
 from __future__ import annotations
@@ -16,13 +19,13 @@ import numpy as np
 from .kernel import (
     KernelParams,
     _as_unit,
+    _l1_factors,
+    _normalize,
     _scaled_sinh,
     _scaled_sinh_ratio,
     green_closed,
-    l1_norm,
     normalized_green,
 )
-from .numerics import SingularMatrixError, solve_linear
 
 # abscissae closer than this make the covariance matrix numerically singular
 MIN_ABSCISSA_GAP = 1e-9
@@ -102,20 +105,6 @@ class QueryGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class CovarianceBlocks:
-    """The three covariance blocks of the joint (data, query) model.
-
-    data_cov : (N, N), entry (i, j) = H(xi_i, xi_j)
-    cross_cov : (N, M), entry (i, j) = H(x*_j, xi_i)
-    query_cov : (M, M), entry (i, j) = H(x*_i, x*_j)
-    """
-
-    data_cov: np.ndarray
-    cross_cov: np.ndarray
-    query_cov: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class Prediction:
     """Predictive summary at the query abscissae.
 
@@ -142,39 +131,10 @@ def build_cov_matrix(params: KernelParams, samples: SampleSet) -> np.ndarray:
     return normalized_green(params, samples.xi[:, None], samples.xi[None, :])
 
 
-def build_joint_blocks(
-    params: KernelParams, samples: SampleSet, grid: QueryGrid
-) -> CovarianceBlocks:
-    """Covariance blocks coupling the data abscissae with the query grid.
-
-    The cross block anchors the kernel section at the data site:
-    ``cross_cov[i, j] = H(x*_j, xi_i)``, so each row i is the impulse
-    response of data site i sampled along the query grid.  The predictive
-    mean then superposes those per-site responses, which is what makes it
-    reproduce the data exactly wherever a query hits a sample abscissa.
-    """
-    return CovarianceBlocks(
-        data_cov=build_cov_matrix(params, samples),
-        cross_cov=normalized_green(params, grid.x_star[None, :], samples.xi[:, None]),
-        query_cov=normalized_green(params, grid.x_star[:, None], grid.x_star[None, :]),
-    )
-
-
 def _clamp_variances(raw: np.ndarray) -> tuple[np.ndarray, int]:
     """Zero out negative variances; count those beyond rounding noise."""
     clamped = int(np.count_nonzero(raw < -VARIANCE_CLAMP_TOLERANCE))
     return np.where(raw < 0.0, 0.0, raw), clamped
-
-
-def _solve_data_system(samples: SampleSet, data_cov: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        return solve_linear(data_cov, rhs)
-    except SingularMatrixError as exc:
-        raise SingularMatrixError(
-            exc.pivot_index,
-            exc.pivot,
-            detail=f"covariance column of sample abscissa {float(samples.xi[exc.pivot_index])!r}",
-        ) from exc
 
 
 def _bracket_weights(a: float, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
@@ -193,41 +153,54 @@ def _bracket_weights(a: float, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     return w_lo, w_hi
 
 
+def _two_neighbour(params: KernelParams, samples: SampleSet, x, z):
+    """Kriging mean at x and the explained term sum_k w_k(x) H(z, xi_k).
+
+    The sum runs over the two sites bracketing x, an end counting as a
+    site of value 0.  ``x`` and ``z`` broadcast against each other: a
+    column of queries against a row gives the explained part of the
+    whole predictive covariance, at O(1) per entry.
+    """
+    a = params.a
+    sites = np.concatenate(([0.0], samples.xi, [1.0]))
+    values = np.concatenate(([0.0], samples.eta, [0.0]))
+    # G vanishes at the pinned ends, so any nonzero factors there give
+    # them a zero term
+    s_y, s_rest = (np.concatenate(([1.0], f, [1.0])) for f in _l1_factors(a, samples.xi))
+    right = np.searchsorted(sites, x, side="right")
+    left = right - 1
+    w_lo, w_hi = _bracket_weights(a, x, sites[left], sites[right])
+    mean = w_lo * values[left] + w_hi * values[right]
+    explained = (
+        w_lo * _normalize(a, green_closed(params, z, sites[left]), s_y[left], s_rest[left])
+        + w_hi * _normalize(a, green_closed(params, z, sites[right]), s_y[right], s_rest[right])
+    )
+    return mean, explained
+
+
 def predict(params: KernelParams, samples: SampleSet, grid: QueryGrid) -> Prediction:
     """Predictive mean, variance and 2-sigma band on the query grid.
 
     The dense formulas mean = cross_cov^T data_cov^{-1} eta and variance
-    H(x*, x*) - cross_cov^T data_cov^{-1} cross_cov reduce to two terms
-    per query.  The L1 normalizations cancel from the mean, leaving
-    kriging with G, and G is the covariance of a Markov bridge pinned to
-    zero at 0 and 1, so a query's kriging weights sit only on the two
-    sites bracketing it (the boundary counting as a site of value 0):
+    H(x*, x*) - cross_cov^T data_cov^{-1} cross_cov, with data_cov the
+    matrix of :func:`build_cov_matrix` and cross_cov[i, j] =
+    H(x*_j, xi_i), reduce to two terms per query.  The L1 normalizations
+    cancel from the mean, leaving kriging with G, and G is the
+    covariance of a Markov bridge pinned to zero at 0 and 1, so a
+    query's kriging weights sit only on the two sites bracketing it (the
+    boundary counting as a site of value 0):
 
         mean = w_lo eta_lo + w_hi eta_hi
         variance = H(x*, x*) - w_lo H(x*, xi_lo) - w_hi H(x*, xi_hi)
 
-    This takes O((N + M) log N) time and O(N + M) memory, forms no
-    covariance matrix and never factors one; :func:`build_joint_blocks`
-    with :func:`predictive_covariance` remain as the dense reference.
-    Queries need not be sorted.  A query on a site reproduces its
-    ordinate with variance exactly 0; elsewhere the variance is a
-    difference and can come out a hair negative, see
+    This takes O((N + M) log N) time and O(N + M) memory and forms no
+    covariance matrix.  Queries need not be sorted.  A query on a site
+    reproduces its ordinate with variance exactly 0; elsewhere the
+    variance is a difference and can come out a hair negative, see
     ``VARIANCE_CLAMP_TOLERANCE``.
     """
     x = grid.x_star
-    sites = np.concatenate(([0.0], samples.xi, [1.0]))
-    values = np.concatenate(([0.0], samples.eta, [0.0]))
-    # G vanishes at the pinned boundary sites, so any nonzero norm there
-    # gives them a zero term in the variance
-    norms = np.concatenate(([1.0], l1_norm(params, samples.xi), [1.0]))
-    right = np.searchsorted(sites, x, side="right")
-    left = right - 1
-    w_lo, w_hi = _bracket_weights(params.a, x, sites[left], sites[right])
-    mean = w_lo * values[left] + w_hi * values[right]
-    explained = (
-        w_lo * green_closed(params, x, sites[left]) / norms[left]
-        + w_hi * green_closed(params, x, sites[right]) / norms[right]
-    )
+    mean, explained = _two_neighbour(params, samples, x, x)
     variance, clamped_count = _clamp_variances(normalized_green(params, x, x) - explained)
     std = np.sqrt(variance)
     return Prediction(
@@ -246,12 +219,16 @@ def predictive_covariance(
 ) -> np.ndarray:
     """Full M x M predictive covariance, diagonal unclamped.
 
-    query_cov - cross_cov^T data_cov^{-1} cross_cov; its diagonal matches
-    the raw (pre-clamp) variances of :func:`predict`.
+    Entry (i, j) is H(x*_i, x*_j) - sum_k w_k(x*_i) H(x*_j, xi_k), the
+    sum running over the two sites bracketing x*_i with the kriging
+    weights of :func:`predict`: the two-neighbour form of the dense
+    query_cov - cross_cov^T data_cov^{-1} cross_cov.  Not symmetric,
+    since H is not.  Its diagonal is the raw (pre-clamp) variance of
+    :func:`predict`, to the bit.
     """
-    blocks = build_joint_blocks(params, samples, grid)
-    solved_cross = _solve_data_system(samples, blocks.data_cov, blocks.cross_cov)
-    return blocks.query_cov - blocks.cross_cov.T @ solved_cross
+    x = grid.x_star
+    _, explained = _two_neighbour(params, samples, x[:, None], x[None, :])
+    return normalized_green(params, x[:, None], x[None, :]) - explained
 
 
 def discretized_solution(params: KernelParams, samples: SampleSet, delta: float, x):

@@ -299,6 +299,18 @@ class TestEveryCoefficient:
         assert got.shape == (5, 5)
         assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
 
+    def test_huge_coefficient_next_to_an_end_is_finite(self, data_file, tmp_path):
+        # L1(1e-300) underflows at a = 1e154; H(x, x) is about a there
+        out = tmp_path / "p.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["predict", "--data", str(data_file), "--a", "1e154",
+                           "--queries", "1e-300,0.5", "--out", str(out)])
+        assert rc == 0
+        rows = read_csv_rows(out)
+        assert rows.shape == (2, 6) and np.all(np.isfinite(rows))
+        assert rows[0, 2] == pytest.approx(1e154, rel=1e-12)
+
     @pytest.mark.parametrize("a", ["1e-8", "1e12", "1e154"])
     def test_density_succeeds(self, capsys, a):
         with warnings.catch_warnings():
@@ -354,8 +366,8 @@ class TestOutputFormat:
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy is only needed by the dense solver; keeping it out of the
-    # import keeps it out of every command's start-up time
+    # the package needs no scipy; an import of it, even an unused one,
+    # would add its start-up time to every command
     src = str(Path(greenreg.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -364,4 +376,51 @@ def test_cli_import_loads_no_scipy():
         "assert not any(m.startswith('scipy') for m in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_every_entry_point_runs_with_scipy_blocked(data_file, tmp_path):
+    # scipy is not a dependency: every computing name of the public API
+    # and every command must work where importing it fails
+    src = str(Path(greenreg.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+import greenreg as g
+from greenreg import cli
+
+p = g.KernelParams(a=1.0)
+s = g.SampleSet(xi=[0.1, 0.3, 0.5, 0.7, 0.9], eta=[1.0, 2.0, 3.0, 4.0, 5.0])
+q = g.QueryGrid(x_star=[0.2, 0.4])
+calls = {
+    "build_cov_matrix": lambda: g.build_cov_matrix(p, s),
+    "density_stats": lambda: g.density_stats(p, 0.5),
+    "discretized_solution": lambda: g.discretized_solution(p, s, 0.01, 0.5),
+    "green_closed": lambda: g.green_closed(p, 0.3, 0.5),
+    "integrate": lambda: g.integrate(np.sin, 0.0, 1.0),
+    "l1_norm": lambda: g.l1_norm(p, 0.5),
+    "normalized_green": lambda: g.normalized_green(p, 0.3, 0.5),
+    "predict": lambda: g.predict(p, s, q),
+    "predictive_covariance": lambda: g.predictive_covariance(p, s, q),
+    "rkhs_inner_product": lambda: g.rkhs_inner_product(p, np.sin, np.cos, 0.5),
+}
+functions = {n for n in g.__all__ if callable(getattr(g, n)) and not isinstance(getattr(g, n), type)}
+assert set(calls) == functions, functions ^ set(calls)
+for call in calls.values():
+    call()
+data, out = sys.argv[1:]
+for argv in (
+    ["predict", "--data", data, "--a", "1", "--out", out + "/p.csv", "--format", "svg"],
+    ["matrix", "--data", data, "--a", "1"],
+    ["density", "--a", "1", "--y", "0.5"],
+    ["solve", "--data", data, "--a", "1", "--out", out + "/s.csv"],
+):
+    assert cli.main(argv) == 0, argv
+assert sys.modules["scipy"] is None
+"""
+    proc = subprocess.run([sys.executable, "-c", code, str(data_file), str(tmp_path)], env=env,
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import reference
 import refvals
 from greenreg.kernel import (
     MAX_COEFFICIENT,
@@ -13,7 +14,6 @@ from greenreg.kernel import (
     _green_dx_above,
     _green_dx_below,
     green_closed,
-    green_series,
     l1_norm,
     normalized_green,
     rkhs_inner_product,
@@ -46,10 +46,6 @@ class TestKernelParams:
     def test_tiny_coefficient_bound_is_kept(self):
         assert KernelParams(a=TINY_COEFFICIENT).a == TINY_COEFFICIENT
         assert KernelParams(a=np.nextafter(TINY_COEFFICIENT, 0.0)).a == 0.0
-
-    def test_rejects_empty_series(self):
-        with pytest.raises(ValueError, match="series_terms"):
-            KernelParams(a=1.0, series_terms=0)
 
 
 class TestGreenClosed:
@@ -146,7 +142,7 @@ class TestGreenClosed:
 
 class TestGreenSeries:
     def test_single_term(self):
-        got = green_series(KernelParams(a=1.0, series_terms=1), 0.5, 0.5)
+        got = reference.green_series(1.0, 0.5, 0.5, terms=1)
         assert_allclose(got, 2.0 / (np.pi**2 + 1.0), rtol=1e-14)
 
     @pytest.mark.parametrize("a", [0.0, 1.0, 10.0])
@@ -154,10 +150,10 @@ class TestGreenSeries:
         params = KernelParams(a=a)
         t = np.linspace(0.0, 1.0, 11)
         x, y = t[:, None], t[None, :]
-        assert_allclose(green_series(params, x, y), green_closed(params, x, y), atol=5e-6)
+        assert_allclose(reference.green_series(a, x, y), green_closed(params, x, y), atol=5e-6)
 
     def test_scalar_in_scalar_out(self):
-        assert isinstance(green_series(A1, 0.3, 0.7), float)
+        assert isinstance(reference.green_series(1.0, 0.3, 0.7), float)
 
 
 class TestL1Norm:
@@ -246,6 +242,22 @@ class TestNormalizedGreen:
     def test_anchor_endpoints_rejected(self):
         with pytest.raises(ValueError, match="strictly inside"):
             normalized_green(A1, 0.5, 0.0)
+
+    @pytest.mark.parametrize("a", [1e100, 1e154])
+    @pytest.mark.parametrize("y", [5e-324, 3e-320, 1e-300, 1e-200])
+    def test_finite_where_the_norm_underflows(self, a, y):
+        # L1(y) is about y / a, below the double range here, while H(y, y)
+        # is about a; 400 digits hold 1 - y and a (1 - y) exactly
+        with mpmath.workdps(400):
+            ma, my = mpmath.mpf(a), mpmath.mpf(y)
+            g = mpmath.sinh(ma * my) * mpmath.sinh(ma * (1 - my)) / (ma * mpmath.sinh(ma))
+            l1 = (
+                2 * mpmath.sinh(ma * my / 2) * mpmath.sinh(ma * (1 - my) / 2)
+                / (ma**2 * mpmath.cosh(ma / 2))
+            )
+            want = g / l1
+        got = normalized_green(KernelParams(a=a), y, y)
+        assert abs(got - want) <= 1e-14 * want
 
 
 class TestDerivativeBranches:

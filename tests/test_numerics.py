@@ -1,4 +1,4 @@
-"""Quadrature and linear-solver contracts."""
+"""Quadrature contracts."""
 
 import numpy as np
 import pytest
@@ -6,12 +6,7 @@ from numpy.testing import assert_allclose
 
 import refvals
 from greenreg.kernel import KernelParams, green_closed
-from greenreg.numerics import (
-    QuadratureSpec,
-    SingularMatrixError,
-    integrate,
-    solve_linear,
-)
+from greenreg.numerics import QuadratureSpec, integrate
 
 
 class TestQuadratureSpec:
@@ -88,58 +83,3 @@ class TestIntegrate:
 
         with pytest.raises(ValueError, match="not finite at node x=0.0"):
             integrate(f, 0.0, 1.0)
-
-
-class TestSolveLinear:
-    def test_diagonal_system(self):
-        x = solve_linear([[2.0, 0.0], [0.0, 4.0]], [[2.0], [8.0]])
-        assert_allclose(x, [[1.0], [2.0]], rtol=1e-15)
-
-    def test_matches_numpy_on_random_systems(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            n = int(rng.integers(1, 9))
-            a = rng.normal(size=(n, n)) + n * np.eye(n)
-            b = rng.normal(size=n)
-            assert_allclose(solve_linear(a, b), np.linalg.solve(a, b), rtol=1e-10)
-
-    def test_multiple_right_hand_sides(self):
-        rng = np.random.default_rng(11)
-        a = rng.normal(size=(4, 4)) + 4.0 * np.eye(4)
-        b = rng.normal(size=(4, 3))
-        x = solve_linear(a, b)
-        assert x.shape == (4, 3)
-        assert_allclose(a @ x, b, atol=1e-12)
-
-    def test_zero_matrix_is_singular(self):
-        with pytest.raises(SingularMatrixError) as excinfo:
-            solve_linear(np.zeros((2, 2)), np.ones(2))
-        assert excinfo.value.pivot == 0.0
-
-    def test_duplicate_columns_report_pivot_index(self):
-        rng = np.random.default_rng(3)
-        a = rng.normal(size=(4, 4))
-        a[:, 2] = a[:, 1]
-        with pytest.raises(SingularMatrixError) as excinfo:
-            solve_linear(a, np.ones(4))
-        assert excinfo.value.pivot_index == 2
-        assert "pivot 2" in str(excinfo.value)
-
-    def test_tiny_pivot_relative_to_norm_is_singular(self):
-        a = np.array([[1.0, 1.0], [1.0, 1.0 + 5e-13]])
-        with pytest.raises(SingularMatrixError):
-            solve_linear(a, np.ones(2))
-
-    def test_nonsquare_rejected(self):
-        with pytest.raises(ValueError, match="square"):
-            solve_linear(np.ones((2, 3)), np.ones(2))
-
-    def test_rhs_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="right-hand side"):
-            solve_linear(np.eye(3), np.ones(2))
-
-    def test_nonfinite_entries_rejected(self):
-        a = np.eye(2)
-        a[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            solve_linear(a, np.ones(2))

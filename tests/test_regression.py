@@ -1,4 +1,8 @@
-"""Sample validation, covariance blocks and noise-free prediction."""
+"""Sample validation, covariance blocks and noise-free prediction.
+
+The dense block formulas of ``reference`` are the oracle for the
+two-neighbour predictor and covariance.
+"""
 
 import tracemalloc
 import warnings
@@ -7,18 +11,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import reference
 import refvals
 from greenreg.cli import _axis_grid
-from greenreg.kernel import KernelParams, green_closed, green_series, normalized_green
-from greenreg.numerics import SingularMatrixError
-from greenreg import regression
+from greenreg.kernel import KernelParams, green_closed, normalized_green
 from greenreg.regression import (
     QueryGrid,
     SampleSet,
     _clamp_variances,
-    _solve_data_system,
     build_cov_matrix,
-    build_joint_blocks,
     discretized_solution,
     predict,
     predictive_covariance,
@@ -100,8 +101,9 @@ class TestCovarianceBlocks:
         assert cov[0, 1] != pytest.approx(cov[1, 0], abs=0.1)
 
     def test_cross_block_anchors_sections_at_data_sites(self, samples):
+        # the layout the dense oracle relies on
         grid = QueryGrid(x_star=[0.2, 0.4, 0.6])
-        blocks = build_joint_blocks(A1, samples, grid)
+        blocks = reference.joint_blocks(A1, samples, grid.x_star)
         assert blocks.cross_cov.shape == (5, 3)
         assert_allclose(
             blocks.cross_cov[1, 2],
@@ -164,34 +166,31 @@ class TestPredict:
         assert pred.variance[0] <= 1e-12
 
 
+def _random_case(n, a):
+    """n random sites and 208 shuffled queries: random, on every other
+    site, and within 1e-9 .. 1e-3 of either end."""
+    rng = np.random.default_rng(1000 * n + int(a))
+    samples = SampleSet(xi=np.sort(rng.uniform(0.01, 0.99, n)), eta=rng.normal(size=n))
+    x = np.concatenate(
+        (
+            rng.uniform(0.0, 1.0, 200),
+            samples.xi[::2],
+            [1e-9, 1e-6, 5e-4, 1e-3, 1.0 - 1e-3, 1.0 - 5e-4, 1.0 - 1e-6, 1.0 - 1e-9],
+        )
+    )
+    return KernelParams(a=a), samples, QueryGrid(x_star=rng.permutation(x))
+
+
 class TestTwoNeighbourPredictor:
     @pytest.mark.parametrize("a", [0.0, 1.0, 10.0, 100.0])
     @pytest.mark.parametrize("n", [5, 50, 200])
     def test_matches_dense_oracle(self, n, a):
-        rng = np.random.default_rng(1000 * n + int(a))
-        samples = SampleSet(xi=np.sort(rng.uniform(0.01, 0.99, n)), eta=rng.normal(size=n))
-        x = np.concatenate(
-            (
-                rng.uniform(0.0, 1.0, 200),
-                samples.xi[::2],
-                [1e-9, 1e-6, 5e-4, 1e-3, 1.0 - 1e-3, 1.0 - 5e-4, 1.0 - 1e-6, 1.0 - 1e-9],
-            )
-        )
-        grid = QueryGrid(x_star=rng.permutation(x))
-        params = KernelParams(a=a)
+        params, samples, grid = _random_case(n, a)
         pred = predict(params, samples, grid)
-
-        blocks = build_joint_blocks(params, samples, grid)
-        weights = _solve_data_system(samples, blocks.data_cov, samples.eta)
-        dense_mean = blocks.cross_cov.T @ weights
-        prior = np.diagonal(blocks.query_cov)
-        dense_var = prior - np.einsum(
-            "nm,nm->m",
-            blocks.cross_cov,
-            _solve_data_system(samples, blocks.data_cov, blocks.cross_cov),
-        )
+        dense_mean, dense_cov = reference.dense_posterior(params, samples, grid.x_star)
+        prior = reference.h(params, grid.x_star, grid.x_star)
         assert np.all(np.abs(pred.mean - dense_mean) <= 1e-9 * np.abs(samples.eta).max())
-        assert np.all(np.abs(pred.variance - dense_var) <= 1e-9 * prior)
+        assert np.all(np.abs(pred.variance - np.diagonal(dense_cov)) <= 1e-9 * prior)
         on_site = np.isin(grid.x_star, samples.xi)
         hit = np.searchsorted(samples.xi, grid.x_star[on_site])
         assert np.array_equal(pred.mean[on_site], samples.eta[hit])
@@ -208,11 +207,13 @@ class TestTwoNeighbourPredictor:
         assert np.all(pred.variance >= 0.0)
 
     def test_memory_is_linear_and_no_solve(self, monkeypatch):
-        # the dense path would need an M x M block of 80 GB here
+        # the dense path would need an M x M block of 80 GB for predict here,
+        # and a 3.2 GB data block for the N = 20 000 covariance
         def no_solve(*args, **kwargs):
-            raise AssertionError("predict must not factor a covariance matrix")
+            raise AssertionError("nothing may factor a covariance matrix")
 
-        monkeypatch.setattr(regression, "solve_linear", no_solve)
+        monkeypatch.setattr(np.linalg, "solve", no_solve)
+        monkeypatch.setattr(np.linalg, "inv", no_solve)
         rng = np.random.default_rng(7)
         samples = SampleSet(xi=np.linspace(0.0005, 0.9995, 1000), eta=rng.normal(size=1000))
         grid = QueryGrid.uniform(1e-5)
@@ -225,6 +226,17 @@ class TestTwoNeighbourPredictor:
             tracemalloc.stop()
         assert peak < 64 * 2**20
         assert np.all(np.isfinite(pred.mean)) and pred.clamped_count == 0
+
+        samples = SampleSet(xi=np.linspace(5e-5, 1.0 - 5e-5, 20_000), eta=rng.normal(size=20_000))
+        grid = QueryGrid(x_star=rng.uniform(0.0, 1.0, 10))
+        tracemalloc.start()
+        try:
+            cov = predictive_covariance(KernelParams(a=10.0), samples, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert cov.shape == (10, 10) and np.all(np.isfinite(cov))
 
 
 class TestVarianceClamp:
@@ -244,15 +256,23 @@ class TestPredictiveCovariance:
         grid = QueryGrid(x_star=[0.15, 0.4, 0.62, 0.88])
         full = predictive_covariance(A1, samples, grid)
         assert full.shape == (4, 4)
+        _, dense = reference.dense_posterior(A1, samples, grid.x_star)
         pred = predict(A1, samples, grid)
-        diag = np.diagonal(full)
+        diag = np.diagonal(dense)
         assert_allclose(pred.variance, np.where(diag < 0.0, 0.0, diag), atol=1e-12)
 
-    def test_singular_data_matrix_names_abscissa(self, samples):
-        bad = build_cov_matrix(A1, samples).copy()
-        bad[:, 3] = bad[:, 1]
-        with pytest.raises(SingularMatrixError, match="sample abscissa 0.7"):
-            _solve_data_system(samples, bad, samples.eta)
+    @pytest.mark.parametrize("a", [0.0, 1.0, 10.0, 100.0, 1000.0])
+    @pytest.mark.parametrize("n", [1, 5, 50, 200])
+    def test_matches_dense_oracle(self, n, a):
+        params, samples, grid = _random_case(n, a)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            full = predictive_covariance(params, samples, grid)
+        _, dense = reference.dense_posterior(params, samples, grid.x_star)
+        scale = reference.h(params, grid.x_star, grid.x_star).max()
+        assert np.all(np.abs(full - dense) <= 1e-14 * scale)
+        diag = np.diagonal(full)
+        assert np.array_equal(np.where(diag < 0.0, 0.0, diag), predict(params, samples, grid).variance)
 
 
 class TestDiscretizedSolution:
@@ -278,10 +298,9 @@ class TestDiscretizedSolution:
 
     def test_matches_series_form_superposition(self, samples):
         # same superposition with the series kernel is an independent oracle
-        series_params = KernelParams(a=1.0, series_terms=100_000)
         x = 0.5
         oracle = 0.01 * float(
-            green_series(series_params, x, samples.xi) @ samples.eta
+            reference.green_series(1.0, x, samples.xi, terms=100_000) @ samples.eta
         )
         assert abs(discretized_solution(A1, samples, 0.01, x) - oracle) <= 1e-6
 
