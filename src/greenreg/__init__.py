@@ -15,7 +15,6 @@ from .kernel import (
     normalized_green,
     rkhs_inner_product,
 )
-from .numerics import DEFAULT_QUADRATURE, QuadratureSpec, integrate
 from .regression import (
     Prediction,
     QueryGrid,
@@ -29,18 +28,15 @@ from .regression import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_QUADRATURE",
     "DensityStats",
     "KernelParams",
     "Prediction",
-    "QuadratureSpec",
     "QueryGrid",
     "SampleSet",
     "build_cov_matrix",
     "density_stats",
     "discretized_solution",
     "green_closed",
-    "integrate",
     "l1_norm",
     "normalized_green",
     "predict",

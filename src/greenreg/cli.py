@@ -42,8 +42,6 @@ class RunConfig:
             raise ValueError("--format svg requires --out for the curve file")
         if not 0.0 < self.delta <= 0.5:
             raise ValueError(f"delta must lie in (0, 0.5], got {self.delta!r}")
-        if self.format not in _FORMATS:
-            raise ValueError(f"format must be one of {_FORMATS}, got {self.format!r}")
 
 
 def load_samples(path: Path) -> SampleSet:

@@ -3,6 +3,8 @@
 G is evaluated in one closed hyperbolic form, accurate for every a from
 0 to ``MAX_COEFFICIENT``.  On top of it sits the L1 normalization that
 turns each section y -> G(. , y) into a probability density on [0, 1].
+Only :func:`rkhs_inner_product` integrates numerically, by composite
+Simpson on each side of its anchor.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-
-from .numerics import integrate
 
 # largest coefficient whose square is a finite double; L1 is about 1/a**2
 # for large a, so past it the norm underflows and H = G / L1 overflows
@@ -70,18 +70,22 @@ def _as_open_unit(name: str, v) -> np.ndarray:
 def _scaled_sinh(a: float, s):
     """(1 - exp(-2 a s)) / (2 a), that is exp(-a s) sinh(a s) / a; s at a = 0.
 
-    Where 2 a s falls below the normal range the quotient would keep few
-    or none of the digits of s, while s is the value to double precision.
+    Where 2 a s is below the machine epsilon, s is within an ulp and is
+    returned: the quotient would round differently or, where 2 a s
+    underflows, lose the digits of s.  So tiny a gives the a = 0 value.
     """
     if a == 0.0:
         return s
     t = 2.0 * a * s
-    return np.where(t < sys.float_info.min, s, -np.expm1(-t) / (2.0 * a))
+    return np.where(t < sys.float_info.epsilon, s, -np.expm1(-t) / (2.0 * a))
 
 
 def _scaled_sinh_ratio(a: float, s):
-    """(1 - exp(-2 a s)) / (1 - exp(-2 a)) = exp(a (1 - s)) sinh(a s) / sinh a; s at a = 0."""
-    if a == 0.0:
+    """(1 - exp(-2 a s)) / (1 - exp(-2 a)) = exp(a (1 - s)) sinh(a s) / sinh a.
+
+    That is s (1 + O(a)), so s itself where 2 a is below the epsilon.
+    """
+    if 2.0 * a < sys.float_info.epsilon:
         return s
     return np.expm1(-2.0 * a * s) / np.expm1(-2.0 * a)
 
@@ -179,6 +183,23 @@ def _green_dx_above(params: KernelParams, x, y: float):
     return -cosh_part * _scaled_sinh_ratio(a, y)
 
 
+def _simpson(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
+    """Composite Simpson integral of ``f`` over [lo, hi] on 2048 panels.
+
+    Raises ValueError naming the first node where ``f`` is not finite.
+    """
+    n = 2048
+    weights = np.ones(n + 1)
+    weights[1:-1:2] = 4.0
+    weights[2:-1:2] = 2.0
+    nodes = np.linspace(lo, hi, n + 1)
+    fx = np.asarray(f(nodes), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(fx))
+    if bad.size:
+        raise ValueError(f"integrand is not finite at node x={float(nodes[bad[0]])!r}")
+    return float((weights @ fx) * (hi - lo) / (3.0 * n))
+
+
 def rkhs_inner_product(
     params: KernelParams,
     u: Callable[[np.ndarray], np.ndarray],
@@ -194,7 +215,8 @@ def rkhs_inner_product(
 
     The x-derivative of G jumps by -1 across x = y, so the integral is
     taken branchwise: [0, y] with the left-sided derivative and [y, 1]
-    with the right-sided one.  Both ``u`` and ``du`` must accept arrays.
+    with the right-sided one, each by :func:`_simpson`.  Both ``u`` and
+    ``du`` must accept arrays.
     """
     y = float(_as_open_unit("y", y))
     a_sq = params.a * params.a
@@ -205,4 +227,4 @@ def rkhs_inner_product(
     def above(x):
         return du(x) * _green_dx_above(params, x, y) + a_sq * u(x) * green_closed(params, x, y)
 
-    return integrate(below, 0.0, y) + integrate(above, y, 1.0)
+    return _simpson(below, 0.0, y) + _simpson(above, y, 1.0)

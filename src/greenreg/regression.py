@@ -18,6 +18,7 @@ import numpy as np
 
 from .kernel import (
     KernelParams,
+    _as_open_unit,
     _as_unit,
     _l1_factors,
     _normalize,
@@ -53,8 +54,7 @@ class SampleSet:
             raise ValueError("xi and eta must be one-dimensional and equally long")
         if xi.size == 0:
             raise ValueError("at least one sample is required")
-        if not np.all(np.isfinite(xi)) or np.any(xi <= 0.0) or np.any(xi >= 1.0):
-            raise ValueError("sample abscissae must lie strictly inside (0, 1)")
+        _as_open_unit("sample abscissae", xi)
         gaps = np.diff(xi)
         if np.any(gaps <= 0.0):
             raise ValueError("sample abscissae must be strictly increasing")
@@ -83,8 +83,7 @@ class QueryGrid:
         x_star = np.atleast_1d(np.asarray(self.x_star, dtype=float))
         if x_star.ndim != 1 or x_star.size == 0:
             raise ValueError("at least one query abscissa is required")
-        if not np.all(np.isfinite(x_star)) or np.any(x_star <= 0.0) or np.any(x_star >= 1.0):
-            raise ValueError("query abscissae must lie strictly inside (0, 1)")
+        _as_open_unit("query abscissae", x_star)
         object.__setattr__(self, "x_star", x_star)
 
     @classmethod
@@ -140,16 +139,14 @@ def _clamp_variances(raw: np.ndarray) -> tuple[np.ndarray, int]:
 def _bracket_weights(a: float, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
     """Kriging weights of x on its bracketing sites lo <= x < hi.
 
-    sinh(a (hi - x)) / sinh(a (hi - lo)) and its mirror, written with
-    decaying exponentials so that no factor overflows at large a; the
-    a = 0 limit is linear interpolation.
+    sinh(a (hi - x)) / sinh(a (hi - lo)) and its mirror, written as
+    exp(-a (x - lo)) S(hi - x) / S(hi - lo) with S = _scaled_sinh: no
+    factor overflows at large a, and S is the gap itself where 2 a gap
+    is below the epsilon, so tiny a gives linear interpolation, not 0/0.
     """
-    if a == 0.0:
-        span = hi - lo
-        return (hi - x) / span, (x - lo) / span
-    denom = np.expm1(-2.0 * a * (hi - lo))
-    w_lo = np.exp(-a * (x - lo)) * np.expm1(-2.0 * a * (hi - x)) / denom
-    w_hi = np.exp(-a * (hi - x)) * np.expm1(-2.0 * a * (x - lo)) / denom
+    span = _scaled_sinh(a, hi - lo)
+    w_lo = np.exp(-a * (x - lo)) * _scaled_sinh(a, hi - x) / span
+    w_hi = np.exp(-a * (hi - x)) * _scaled_sinh(a, x - lo) / span
     return w_lo, w_hi
 
 

@@ -5,14 +5,15 @@ forms a covariance matrix; here the same quantities come from the dense
 block formulas, with H = G / L1 taken straight from its definition and
 the data system solved by ``np.linalg.solve`` (LAPACK LU).  The sine
 series is a second evaluation of G that shares no code with the closed
-form.
+form, and composite Simpson integrates the sections that the package
+normalizes in closed form.
 """
 
 from typing import NamedTuple
 
 import numpy as np
 
-from greenreg.kernel import green_closed, l1_norm
+from greenreg.kernel import _simpson, green_closed, l1_norm
 
 SERIES_CHUNK = 4096
 
@@ -59,6 +60,15 @@ def dense_posterior(params, samples, x):
     solved = np.linalg.solve(blocks.data_cov, np.column_stack((samples.eta, blocks.cross_cov)))
     mean = blocks.cross_cov.T @ solved[:, 0]
     return mean, blocks.query_cov - blocks.cross_cov.T @ solved[:, 1:]
+
+
+def simpson_split(f, y):
+    """Integral of ``f`` over [0, 1] by the package's fixed Simpson rule.
+
+    The rule runs on [0, y] and on [y, 1] separately, so that no panel
+    straddles the kink of a kernel section anchored at y.
+    """
+    return _simpson(f, 0.0, y) + _simpson(f, y, 1.0)
 
 
 def green_series(a, x, y, terms=100_000):

@@ -278,8 +278,7 @@ class TestEveryCoefficient:
         def boom(*args, **kwargs):
             raise AssertionError("quadrature called")
 
-        monkeypatch.setattr("greenreg.numerics.integrate", boom)
-        monkeypatch.setattr("greenreg.kernel.integrate", boom)
+        monkeypatch.setattr("greenreg.kernel._simpson", boom)
         for a in ("0", "1", "100", "1e154"):
             _run_every_command(data_file, tmp_path, a, capsys)
 
@@ -289,6 +288,24 @@ class TestEveryCoefficient:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _run_every_command(data_file, tmp_path, a, capsys) == zero
+
+    @pytest.mark.parametrize("a", ["1.5e-154", "1e-150", "1e-100"])
+    def test_site_next_to_an_end_at_tiny_coefficient(self, tmp_path, a):
+        # 2 a (hi - lo) underflows there; the bracket weights were 0 / 0
+        data = tmp_path / "d.csv"
+        data.write_text("x,y\n1e-300,1\n0.5,2\n", encoding="utf-8")
+        out = {}
+        for coef in ("0", a):
+            out[coef] = tmp_path / f"{coef}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = cli.main(["predict", "--data", str(data), "--a", coef,
+                               "--queries", "5e-324,5e-301,0.25", "--out", str(out[coef])])
+            assert rc == 0
+        assert out[a].read_bytes() == out["0"].read_bytes()
+        assert out["0"].read_text(encoding="utf-8").splitlines()[2] == (
+            "5e-301,0.5,1.5,1.22474487139,-1.94948974278,2.94948974278"
+        )
 
     def test_small_coefficient_matrix_is_finite(self, data_file, capsys):
         with warnings.catch_warnings():
@@ -400,7 +417,6 @@ calls = {
     "density_stats": lambda: g.density_stats(p, 0.5),
     "discretized_solution": lambda: g.discretized_solution(p, s, 0.01, 0.5),
     "green_closed": lambda: g.green_closed(p, 0.3, 0.5),
-    "integrate": lambda: g.integrate(np.sin, 0.0, 1.0),
     "l1_norm": lambda: g.l1_norm(p, 0.5),
     "normalized_green": lambda: g.normalized_green(p, 0.3, 0.5),
     "predict": lambda: g.predict(p, s, q),

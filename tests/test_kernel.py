@@ -1,5 +1,7 @@
 """Closed-form kernel, series cross-check, normalization, reproducing relation."""
 
+import hashlib
+
 import mpmath
 import numpy as np
 import pytest
@@ -18,7 +20,6 @@ from greenreg.kernel import (
     normalized_green,
     rkhs_inner_product,
 )
-from greenreg.numerics import QuadratureSpec, integrate
 
 A1 = KernelParams(a=1.0)
 A10 = KernelParams(a=10.0)
@@ -179,8 +180,7 @@ class TestL1Norm:
         params = KernelParams(a=a)
         rng = np.random.default_rng(19)
         for y in rng.uniform(0.01, 0.99, size=20):
-            spec = QuadratureSpec(split_points=(y,))
-            via_quad = integrate(lambda x: green_closed(params, x, y), 0.0, 1.0, spec)
+            via_quad = reference.simpson_split(lambda x: green_closed(params, x, y), y)
             assert abs(l1_norm(params, y) - via_quad) <= 1e-8
 
     @pytest.mark.parametrize("a", refvals.SWEEP_COEFFICIENTS)
@@ -220,16 +220,15 @@ class TestNormalizedGreen:
     @pytest.mark.parametrize("y", [0.1, 0.5, 0.9])
     def test_unit_mass(self, a, y):
         params = KernelParams(a=a)
-        spec = QuadratureSpec(split_points=(y,))
-        mass = integrate(lambda x: normalized_green(params, x, y), 0.0, 1.0, spec)
+        mass = reference.simpson_split(lambda x: normalized_green(params, x, y), y)
         assert abs(mass - 1.0) <= 1e-8
 
     def test_unit_mass_large_coefficient_needs_more_panels(self):
-        # at a = 200 the section is a sharp spike; the default panel count
-        # is not enough for 1e-8 but a denser rule is
+        # at a = 200 the section is a sharp spike; the fixed Simpson rule is
+        # not enough for 1e-8 but 30-digit adaptive quadrature is
         params = KernelParams(a=200.0)
-        spec = QuadratureSpec(panel_count=16384, split_points=(0.5,))
-        mass = integrate(lambda x: normalized_green(params, x, 0.5), 0.0, 1.0, spec)
+        with mpmath.workdps(30):
+            mass = mpmath.quad(lambda x: normalized_green(params, float(x), 0.5), [0, 0.5, 1])
         assert abs(mass - 1.0) <= 1e-8
 
     @pytest.mark.parametrize(
@@ -292,6 +291,25 @@ class TestRkhsInnerProduct:
         u, du = self.CASES[case]
         for y in (0.1, 0.25, 0.5, 0.75, 0.9):
             assert abs(rkhs_inner_product(params, u, du, y) - u(y)) <= 1e-6
+
+    # SHA-256 of the 200 results below as float64 bytes, recorded with the
+    # general split-point Simpson integrator that the fixed rule replaced;
+    # the sums go through numpy's dot, so a different BLAS could round them
+    # differently
+    GRID_DIGEST = "977c0c0eb971d89e6f2e8e740beded5e339aea5ec42e11957102e86ca86b5e8a"
+
+    def test_same_floats_as_the_general_integrator(self):
+        kinked = (
+            lambda x: np.abs(x - 0.37) * x * (1.0 - x),
+            lambda x: np.sign(x - 0.37) * x * (1.0 - x) + np.abs(x - 0.37) * (1.0 - 2.0 * x),
+        )
+        got = np.array([
+            rkhs_inner_product(KernelParams(a=a), u, du, y)
+            for a in (0.0, 1.0, 10.0, 100.0, 1000.0)
+            for y in np.linspace(0.02, 0.98, 20)
+            for u, du in (self.CASES[0], kinked)
+        ])
+        assert hashlib.sha256(got.tobytes()).hexdigest() == self.GRID_DIGEST
 
     def test_endpoint_rejected(self):
         u, du = self.CASES[0]

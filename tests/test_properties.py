@@ -3,16 +3,25 @@
 ``a`` is drawn log-uniformly in [1e-12, 1e4], the sites from a 1e-4 grid
 (at most 60 of them), and the queries hold every site, random interior
 points and points within 1e-9 of either end.  The dense block formulas
-of ``reference`` are the oracle for the two-neighbour predictor.
+of ``reference`` are the oracle for the two-neighbour predictor.  Below
+a = 1e-100 the predictor has a second oracle, its own a = 0 output,
+which holds down to subnormal sites and queries where the dense
+reference keeps no digits.  The CLI properties cover the data-file
+round trip and the rule that a failed run writes nothing.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from greenreg.kernel import KernelParams, green_closed
+from greenreg import cli
+from greenreg.kernel import MAX_COEFFICIENT, TINY_COEFFICIENT, KernelParams, green_closed
 from greenreg.regression import (
+    MIN_ABSCISSA_GAP,
     QueryGrid,
     SampleSet,
     discretized_solution,
@@ -94,3 +103,108 @@ def test_green_is_symmetric_and_vanishes_at_the_ends(params, x, y):
     for end in (0.0, 1.0):
         assert np.all(green_closed(params, end, y) == 0.0)
         assert np.all(green_closed(params, x, end) == 0.0)
+
+
+def _separated(xs):
+    """The sorted values of ``xs``, thinned to gaps of at least MIN_ABSCISSA_GAP."""
+    kept = []
+    for x in sorted(xs):
+        if not kept or x - kept[-1] >= MIN_ABSCISSA_GAP:
+            kept.append(x)
+    return kept
+
+
+# anywhere in (0, 1), log-uniformly close to either end down to the
+# subnormal range
+unit_abscissae = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(-323.0, -1.0).map(lambda e: 10.0**e),
+    st.floats(-16.0, -1.0).map(lambda e: 1.0 - 10.0**e),
+)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    a=st.floats(-154.0, -100.0).map(lambda e: max(10.0**e, TINY_COEFFICIENT)),
+    xi=st.lists(unit_abscissae, min_size=1, max_size=12).map(_separated),
+    x=st.lists(unit_abscissae, min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_tiny_coefficient_predicts_the_zero_coefficient_to_the_bit(a, xi, x, data):
+    eta = data.draw(st.lists(st.floats(-1e6, 1e6), min_size=len(xi), max_size=len(xi)))
+    s = SampleSet(xi=xi, eta=eta)
+    grid = QueryGrid(x_star=np.concatenate((x, xi, [5e-324])))
+    zero, tiny = KernelParams(a=0.0), KernelParams(a=a)
+    assert tiny.a == a
+    want, got = predict(zero, s, grid), predict(tiny, s, grid)
+    for name in ("mean", "variance", "std", "band_lo", "band_hi"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert predictive_covariance(tiny, s, grid).tobytes() == (
+        predictive_covariance(zero, s, grid).tobytes()
+    )
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    xi=st.lists(unit_abscissae, min_size=1, max_size=20).map(_separated),
+    header=st.booleans(),
+    data=st.data(),
+)
+def test_load_samples_round_trips_repr(xi, header, data):
+    eta = data.draw(st.lists(finite, min_size=len(xi), max_size=len(xi)))
+    rows = data.draw(st.permutations(list(zip(xi, eta))))
+    text = "x,y\n" * header + "".join(f"{x!r},{y!r}\n" for x, y in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        path.write_text(text, encoding="utf-8")
+        got = cli.load_samples(path)
+    assert got.xi.tolist() == xi
+    assert got.eta.tobytes() == np.asarray(eta, dtype=float).tobytes()
+
+
+# one bad value per run, in the data file or in a flag given after the
+# valid one (argparse keeps the last); everything else is valid
+bad_runs = st.one_of(
+    st.builds(lambda a: ("--a", repr(a)), st.one_of(
+        st.floats(max_value=0.0, exclude_max=True),
+        st.floats(min_value=MAX_COEFFICIENT, exclude_min=True),
+        st.just(float("nan")),
+    )),
+    st.builds(lambda d: ("--delta", repr(d)), st.one_of(
+        st.floats(max_value=0.0), st.floats(min_value=0.5, exclude_min=True), st.just(float("nan")),
+    )),
+    st.builds(lambda q: ("--queries", f"0.5,{q!r}"), st.one_of(
+        st.floats(max_value=0.0), st.floats(min_value=1.0), st.just(float("nan")),
+    )),
+    st.builds(lambda row: ("data", row), st.one_of(
+        st.sampled_from(["0.5,1", "0.3", "0.3,1,2", "x,1", "0.3,y", "0.3,nan", "0.3,inf"]),
+        st.floats(max_value=0.0).map(lambda x: f"{x!r},1"),
+        st.floats(min_value=1.0).map(lambda x: f"{x!r},1"),
+    )),
+)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(
+    command=st.sampled_from(["predict", "solve"]),
+    svg=st.booleans(),
+    bad=bad_runs,
+)
+def test_failed_run_writes_nothing(command, svg, bad):
+    flag, value = bad
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "d.csv"
+        rows = "0.1,1\n0.5,2\n" + (value + "\n" if flag == "data" else "")
+        data.write_text("x,y\n" + rows, encoding="utf-8")
+        out = Path(tmp) / "out.csv"
+        if flag == "--queries":
+            command = "predict"
+        argv = [command, "--data", str(data), "--a", "1", "--out", str(out)]
+        argv += ["--format", "svg"] * svg
+        if flag != "data":
+            argv.append(f"{flag}={value}")
+        assert cli.main(argv) == 1
+        assert sorted(p.name for p in Path(tmp).iterdir()) == ["d.csv"]

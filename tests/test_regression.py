@@ -274,6 +274,17 @@ class TestPredictiveCovariance:
         diag = np.diagonal(full)
         assert np.array_equal(np.where(diag < 0.0, 0.0, diag), predict(params, samples, grid).variance)
 
+    @pytest.mark.parametrize("a", [1.5e-154, 1e-150, 1e-100])
+    def test_tiny_coefficient_is_the_zero_coefficient_to_the_bit(self, a):
+        # 2 a (hi - lo) underflows for the gaps next to 0; the bracket
+        # weights were 0 / 0 there
+        samples = SampleSet(xi=[1e-300, 0.3, 0.5], eta=[1.0, 2.5, 2.0])
+        grid = QueryGrid(x_star=[5e-324, 3e-320, 5e-301, 0.1, 0.25, 0.4, 0.9, 1.0 - 1e-16])
+        for form in (lambda p: predict(p, samples, grid).mean,
+                     lambda p: predict(p, samples, grid).variance,
+                     lambda p: predictive_covariance(p, samples, grid)):
+            assert form(KernelParams(a=a)).tobytes() == form(KernelParams(a=0.0)).tobytes()
+
 
 class TestDiscretizedSolution:
     def test_boundary_zeros_exact(self, samples):
