@@ -80,10 +80,6 @@ def load_samples(path: Path) -> SampleSet:
     return SampleSet(xi=np.asarray(xi), eta=np.asarray(eta))
 
 
-def _num(v: float) -> str:
-    return f"{v:.12g}"
-
-
 def _axis_grid(delta: float) -> np.ndarray:
     """Endpoint-inclusive grid 0, delta, 2 delta, ..., 1 (clamped at 1)."""
     m = math.ceil(1.0 / delta)
@@ -99,16 +95,11 @@ def cmd_predict(config: RunConfig) -> int:
         grid = QueryGrid.uniform(config.delta)
     pred = predict(KernelParams(a=config.a), samples, grid)
 
-    # "%.12g" renders a float exactly as _num does, at one call per row
-    template = ",".join(["%.12g"] * 6) + "\n"
     columns = (pred.x_star, pred.mean, pred.variance, pred.std, pred.band_lo, pred.band_hi)
-    rows = zip(*(c.tolist() for c in columns))
-    config.out.write_text(
-        "x_star,mean,variance,std,band_lo,band_hi\n"
-        + "".join(template % row for row in rows)
-        + f"# clamped={pred.clamped_count}\n",
-        encoding="utf-8",
-    )
+    with open(config.out, "w", encoding="utf-8") as fh:
+        fh.write("x_star,mean,variance,std,band_lo,band_hi\n")
+        fh.writelines(svg._format_rows(",".join(["%.12g"] * 6) + "\n", columns))
+        fh.write(f"# clamped={pred.clamped_count}\n")
     if config.format == "svg":
         doc = svg.band_plot(
             pred.x_star, pred.mean, pred.band_lo, pred.band_hi, samples.xi, samples.eta
@@ -121,8 +112,8 @@ def cmd_matrix(config: RunConfig) -> int:
     """Print the data covariance matrix to stdout, three decimals."""
     samples = load_samples(config.data)
     matrix = build_cov_matrix(KernelParams(a=config.a), samples)
-    for row in matrix:
-        print(",".join(f"{v:.3f}" for v in row))
+    template = ",".join(["%.3f"] * matrix.shape[1]) + "\n"
+    sys.stdout.writelines(svg._format_rows(template, matrix.T))
     return 0
 
 
@@ -130,8 +121,10 @@ def cmd_density(config: RunConfig) -> int:
     """Print density stats for the section at ``config.y``; optionally plot it."""
     params = KernelParams(a=config.a)
     stats = density_stats(params, config.y)
-    for name in ("mean", "variance", "std", "p_1s", "p_2s"):
-        print(f"{name}={_num(getattr(stats, name))}")
+    print(
+        "mean=%.12g\nvariance=%.12g\nstd=%.12g\np_1s=%.12g\np_2s=%.12g"
+        % (stats.mean, stats.variance, stats.std, stats.p_1s, stats.p_2s)
+    )
     if config.format == "svg":
         xs = _axis_grid(config.delta)
         ys = normalized_green(params, xs, config.y)
@@ -144,10 +137,9 @@ def cmd_solve(config: RunConfig) -> int:
     samples = load_samples(config.data)
     xs = _axis_grid(config.delta)
     us = discretized_solution(KernelParams(a=config.a), samples, config.delta, xs)
-    rows = zip(xs.tolist(), us.tolist())
-    config.out.write_text(
-        "x,u\n" + "".join("%.12g,%.12g\n" % row for row in rows), encoding="utf-8"
-    )
+    with open(config.out, "w", encoding="utf-8") as fh:
+        fh.write("x,u\n")
+        fh.writelines(svg._format_rows("%.12g,%.12g\n", (xs, us)))
     if config.format == "svg":
         config.out.with_suffix(".svg").write_text(
             svg.curve_plot(xs, us), encoding="utf-8"

@@ -25,6 +25,11 @@ MAX_COEFFICIENT = math.sqrt(sys.float_info.max)
 # closed forms would round in the subnormal range
 TINY_COEFFICIENT = math.sqrt(sys.float_info.min)
 
+# largest coefficient rkhs_inner_product accepts: there the layer of width
+# 1/a around the anchor still spans about two of the 2048 Simpson panels
+# on a branch, at most 1/2048 wide; the error grows like a**4 past it
+_INNER_PRODUCT_MAX_A = 1000.0
+
 
 @dataclass(frozen=True)
 class KernelParams:
@@ -217,7 +222,17 @@ def rkhs_inner_product(
     taken branchwise: [0, y] with the left-sided derivative and [y, 1]
     with the right-sided one, each by :func:`_simpson`.  Both ``u`` and
     ``du`` must accept arrays.
+
+    Raises ValueError for a above 1000 (``_INNER_PRODUCT_MAX_A``): the
+    fixed rule does not resolve the layer of width 1/a around ``y``
+    there.  For u = sin(pi x) the error is about 3e-9 at a = 100 and
+    4e-5 at a = 1000; at a = 1e4 it would be 0.1.
     """
+    if params.a > _INNER_PRODUCT_MAX_A:
+        raise ValueError(
+            f"rkhs_inner_product needs a <= {_INNER_PRODUCT_MAX_A:g}, where its fixed"
+            f" 2048-panel rule resolves the kernel; got a={params.a!r}"
+        )
     y = float(_as_open_unit("y", y))
     a_sq = params.a * params.a
 

@@ -13,10 +13,23 @@ import numpy as np
 WIDTH = 800
 HEIGHT = 500
 _MARGIN = 0.05  # padding on each side, as a fraction of the data extent
+# rows per format call: few enough that the flat tuple and the text of one
+# block stay small whatever the row count, many enough that the per-call
+# cost vanishes
+_BLOCK = 4096
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
+def _format_rows(template: str, columns, sep: str = ""):
+    """Yield ``template`` filled from each row of ``columns``, one string per block.
+
+    Rows within a block are joined by ``sep``; a caller joins the blocks
+    by ``sep`` as well.  Every value is rendered as ``template % row``
+    would render it, with one ``%`` call per block of ``_BLOCK`` rows.
+    """
+    n = len(columns[0])
+    for start in range(0, n, _BLOCK):
+        block = np.column_stack([c[start:start + _BLOCK] for c in columns])
+        yield sep.join([template] * len(block)) % tuple(block.ravel().tolist())
 
 
 def _extents(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float, float]:
@@ -28,12 +41,11 @@ def _extents(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float, float
 
 
 def _poly_points(xs: np.ndarray, ys: np.ndarray) -> str:
-    # "%.6g" renders a float exactly as _fmt does, at one call per point
-    return " ".join("%.6g,%.6g" % p for p in zip(xs.tolist(), (-ys).tolist()))
+    return " ".join(_format_rows("%.6g,%.6g", (xs, -ys), " "))
 
 
 def _document(body: str, x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> str:
-    view = f"{_fmt(x_lo)} {_fmt(-y_hi)} {_fmt(x_hi - x_lo)} {_fmt(y_hi - y_lo)}"
+    view = "%.6g %.6g %.6g %.6g" % (x_lo, -y_hi, x_hi - x_lo, y_hi - y_lo)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}"'
         f' viewBox="{view}" preserveAspectRatio="none">\n'
@@ -58,16 +70,19 @@ def band_plot(x, mean, lo, hi, data_x, data_y) -> str:
         np.concatenate([x, data_x]), np.concatenate([lo, hi, data_y])
     )
     band = _poly_points(np.concatenate([x, x[::-1]]), np.concatenate([hi, lo[::-1]]))
-    stroke = _fmt((y_hi - y_lo) / 200.0)
-    radius = _fmt((x_hi - x_lo) / 120.0)
+    stroke = "%.6g" % ((y_hi - y_lo) / 200.0)
+    radius = np.full(len(data_x), (x_hi - x_lo) / 120.0)
     parts = [
         f'<polygon points="{band}" fill="#c8c8c8" stroke="none"/>',
         f'<polyline points="{_poly_points(x, mean)}" fill="none"'
         f' stroke="#000000" stroke-width="{stroke}"/>',
     ]
     parts.extend(
-        f'<circle cx="{_fmt(px)}" cy="{_fmt(-py)}" r="{radius}" fill="#000000"/>'
-        for px, py in zip(data_x, data_y)
+        _format_rows(
+            '<circle cx="%.6g" cy="%.6g" r="%.6g" fill="#000000"/>',
+            (data_x, -data_y, radius),
+            "\n",
+        )
     )
     return _document("\n".join(parts) + "\n", x_lo, x_hi, y_lo, y_hi)
 
@@ -77,7 +92,7 @@ def curve_plot(x, y) -> str:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     x_lo, x_hi, y_lo, y_hi = _extents(x, y)
-    stroke = _fmt((y_hi - y_lo) / 200.0)
+    stroke = "%.6g" % ((y_hi - y_lo) / 200.0)
     body = (
         f'<polyline points="{_poly_points(x, y)}" fill="none"'
         f' stroke="#000000" stroke-width="{stroke}"/>\n'

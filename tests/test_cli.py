@@ -350,14 +350,35 @@ class TestOutputFormat:
     def per_value_points(xs, ys):
         return " ".join(f"{x:.6g},{-y:.6g}" for x, y in zip(xs, ys))
 
+    @staticmethod
+    def assert_same(got: bytes, want: str):
+        # names the first differing byte: pytest's own diff of two texts this
+        # long would take minutes
+        want = want.encode()
+        if got != want:
+            at = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+                      min(len(got), len(want)))
+            lo = max(at - 30, 0)
+            pytest.fail(f"first difference at byte {at}: {got[lo:at + 30]!r}"
+                        f" != {want[lo:at + 30]!r}")
+
+    # 15 rows fit in one format block; 2 * _BLOCK + 3 cross two block boundaries
+    @pytest.mark.parametrize("rows", [15, 2 * svg._BLOCK + 3])
     def test_predict_and_solve_match_per_value_rendering(self, data_file, tmp_path,
-                                                         monkeypatch):
-        v = self.VALUES
+                                                         monkeypatch, capsys, rows):
+        v = np.resize(self.VALUES, rows)
         columns = (v, v[::-1], np.abs(v), np.roll(v, 3), -v, np.roll(v, 5))
         pred = Prediction(*columns, clamped_count=2)
+        matrix = np.column_stack(columns)
         monkeypatch.setattr(cli, "predict", lambda *args: pred)
         monkeypatch.setattr(cli, "_axis_grid", lambda delta: v)
         monkeypatch.setattr(cli, "discretized_solution", lambda *args: v[::-1])
+        monkeypatch.setattr(cli, "build_cov_matrix", lambda *args: matrix)
+        assert cli.main(["matrix", "--data", str(data_file), "--a", "1"]) == 0
+        want = "".join(",".join(f"{c:.3f}" for c in row) + "\n" for row in matrix)
+        assert "-0.000," in want
+        self.assert_same(capsys.readouterr().out.encode(), want)
+
         pred_out = tmp_path / "pred.csv"
         sol_out = tmp_path / "sol.csv"
         for command, out in (("predict", pred_out), ("solve", sol_out)):
@@ -369,17 +390,17 @@ class TestOutputFormat:
         for row in zip(*columns):
             want += ",".join(f"{c:.12g}" for c in row) + "\n"
         want += "# clamped=2\n"
-        assert pred_out.read_bytes() == want.encode()
+        self.assert_same(pred_out.read_bytes(), want)
         want = "x,u\n" + "".join(f"{x:.12g},{u:.12g}\n" for x, u in zip(v, v[::-1]))
-        assert sol_out.read_bytes() == want.encode()
+        self.assert_same(sol_out.read_bytes(), want)
 
         monkeypatch.setattr(svg, "_poly_points", self.per_value_points)
         samples = cli.load_samples(data_file)
         band = svg.band_plot(pred.x_star, pred.mean, pred.band_lo, pred.band_hi,
                              samples.xi, samples.eta)
         assert "-0," in band and ",-0 " in band
-        assert (tmp_path / "pred.svg").read_bytes() == band.encode()
-        assert (tmp_path / "sol.svg").read_bytes() == svg.curve_plot(v, v[::-1]).encode()
+        self.assert_same((tmp_path / "pred.svg").read_bytes(), band)
+        self.assert_same((tmp_path / "sol.svg").read_bytes(), svg.curve_plot(v, v[::-1]))
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,6 +1,7 @@
 """Closed-form kernel, series cross-check, normalization, reproducing relation."""
 
 import hashlib
+import re
 
 import mpmath
 import numpy as np
@@ -315,3 +316,10 @@ class TestRkhsInnerProduct:
         u, du = self.CASES[0]
         with pytest.raises(ValueError, match="strictly inside"):
             rkhs_inner_product(A1, u, du, 0.0)
+
+    @pytest.mark.parametrize("a", [1000.0000000000001, 1e4, 1e6, MAX_COEFFICIENT])
+    def test_coefficient_past_the_rule_rejected(self, a):
+        # past the bound the fixed rule is off from u(y) by 0.12 at a = 1e4 and 80 at a = 1e6
+        u, du = self.CASES[0]
+        with pytest.raises(ValueError, match=rf"a <= 1000\b.*got a={re.escape(repr(a))}$"):
+            rkhs_inner_product(KernelParams(a=a), u, du, 0.5)

@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 
 import reference
 import refvals
+from greenreg import cli
 from greenreg.cli import _axis_grid
 from greenreg.kernel import KernelParams, green_closed, normalized_green
 from greenreg.regression import (
@@ -354,3 +355,22 @@ class TestDiscretizedSolution:
             tracemalloc.stop()
         assert peak < 64 * 2**20
         assert us.shape == xs.shape and us[0] == 0.0 and us[-1] == 0.0
+
+    def test_solve_command_memory_is_bounded(self, tmp_path):
+        # formatting all 100 001 rows in one call would hold about 18 MiB of
+        # text and flat tuples; block by block only the SVG string is whole
+        xi = np.linspace(0.01, 0.99, 50)
+        data = tmp_path / "d.csv"
+        np.savetxt(data, np.column_stack([xi, np.sin(7.0 * xi)]), fmt="%.17g", delimiter=",")
+        out = tmp_path / "s.csv"
+        argv = ["solve", "--data", str(data), "--a", "10", "--delta", "1e-5",
+                "--out", str(out), "--format", "svg"]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 100_002
+        assert out.with_suffix(".svg").stat().st_size > 1_000_000
