@@ -4,7 +4,9 @@ Exit statuses: 0 on success, 1 on validation or parse errors (bad flags,
 malformed data files, out-of-range values) and on unreadable or
 unwritable files.  Every computation is in closed form, so no valid input
 fails numerically.  Validation always happens before the output path is
-touched.
+touched.  ``--delta`` (``predict``, ``density`` and ``solve``) is checked
+once, against [MIN_DELTA, 0.5], before any command runs, so no grid has
+more than 1 000 001 rows.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,36 +24,21 @@ from .kernel import KernelParams, normalized_green
 from .regression import QueryGrid, SampleSet, build_cov_matrix, discretized_solution, predict
 
 _FORMATS = ("csv", "svg")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of command-line parameters."""
-
-    a: float
-    delta: float = 0.01
-    data: Path | None = None
-    queries: tuple[float, ...] | None = None
-    out: Path | None = None
-    format: str = "csv"
-    y: float | None = None
-
-    def __post_init__(self):
-        if self.format == "svg" and self.out is None:
-            raise ValueError("--format svg requires --out for the curve file")
-        if not 0.0 < self.delta <= 0.5:
-            raise ValueError(f"delta must lie in (0, 0.5], got {self.delta!r}")
+# the finest grid step: 1 000 001 rows, which keeps each command's peak
+# memory near 140 MB; at 1e-9 numpy would be asked for 7.45 GiB
+MIN_DELTA = 1e-6
 
 
 def load_samples(path: Path) -> SampleSet:
     """Read a two-column ``x,y`` CSV into a SampleSet, sorting by x.
 
-    An optional first line ``x,y`` is skipped; blank lines are ignored.
+    An optional first line ``x,y`` is skipped; blank lines are ignored; a
+    UTF-8 byte-order mark, as spreadsheet programs write, is dropped.
     Parse errors name the file and line number.  Duplicate abscissae are
     rejected here with both offending values spelled out.
     """
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -86,62 +72,64 @@ def _axis_grid(delta: float) -> np.ndarray:
     return np.minimum(np.arange(m + 1) * delta, 1.0)
 
 
-def cmd_predict(config: RunConfig) -> int:
+def cmd_predict(args: argparse.Namespace) -> int:
     """Write the predictive table as CSV; with format=svg also a band plot."""
-    samples = load_samples(config.data)
-    if config.queries is not None:
-        grid = QueryGrid(x_star=np.asarray(config.queries))
+    samples = load_samples(args.data)
+    if args.queries is not None:
+        grid = QueryGrid(x_star=np.asarray(args.queries))
     else:
-        grid = QueryGrid.uniform(config.delta)
-    pred = predict(KernelParams(a=config.a), samples, grid)
+        grid = QueryGrid.uniform(args.delta)
+    pred = predict(KernelParams(a=args.a), samples, grid)
 
     columns = (pred.x_star, pred.mean, pred.variance, pred.std, pred.band_lo, pred.band_hi)
-    with open(config.out, "w", encoding="utf-8") as fh:
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("x_star,mean,variance,std,band_lo,band_hi\n")
         fh.writelines(svg._format_rows(",".join(["%.12g"] * 6) + "\n", columns))
         fh.write(f"# clamped={pred.clamped_count}\n")
-    if config.format == "svg":
+    if args.format == "svg":
         doc = svg.band_plot(
             pred.x_star, pred.mean, pred.band_lo, pred.band_hi, samples.xi, samples.eta
         )
-        config.out.with_suffix(".svg").write_text(doc, encoding="utf-8")
+        args.out.with_suffix(".svg").write_text(doc, encoding="utf-8")
     return 0
 
 
-def cmd_matrix(config: RunConfig) -> int:
+def cmd_matrix(args: argparse.Namespace) -> int:
     """Print the data covariance matrix to stdout, three decimals."""
-    samples = load_samples(config.data)
-    matrix = build_cov_matrix(KernelParams(a=config.a), samples)
+    samples = load_samples(args.data)
+    matrix = build_cov_matrix(KernelParams(a=args.a), samples)
     template = ",".join(["%.3f"] * matrix.shape[1]) + "\n"
     sys.stdout.writelines(svg._format_rows(template, matrix.T))
     return 0
 
 
-def cmd_density(config: RunConfig) -> int:
-    """Print density stats for the section at ``config.y``; optionally plot it."""
-    params = KernelParams(a=config.a)
-    stats = density_stats(params, config.y)
+def cmd_density(args: argparse.Namespace) -> int:
+    """Print density stats for the section at ``args.y``; optionally plot it."""
+    if args.format == "svg" and args.out is None:
+        raise ValueError("--format svg requires --out for the curve file")
+    params = KernelParams(a=args.a)
+    stats = density_stats(params, args.y)
     print(
         "mean=%.12g\nvariance=%.12g\nstd=%.12g\np_1s=%.12g\np_2s=%.12g"
         % (stats.mean, stats.variance, stats.std, stats.p_1s, stats.p_2s)
     )
-    if config.format == "svg":
-        xs = _axis_grid(config.delta)
-        ys = normalized_green(params, xs, config.y)
-        config.out.write_text(svg.curve_plot(xs, ys), encoding="utf-8")
+    if args.format == "svg":
+        xs = _axis_grid(args.delta)
+        ys = normalized_green(params, xs, args.y)
+        args.out.write_text(svg.curve_plot(xs, ys), encoding="utf-8")
     return 0
 
 
-def cmd_solve(config: RunConfig) -> int:
+def cmd_solve(args: argparse.Namespace) -> int:
     """Write the superposed-response curve as x,u CSV; optionally plot it."""
-    samples = load_samples(config.data)
-    xs = _axis_grid(config.delta)
-    us = discretized_solution(KernelParams(a=config.a), samples, config.delta, xs)
-    with open(config.out, "w", encoding="utf-8") as fh:
+    samples = load_samples(args.data)
+    xs = _axis_grid(args.delta)
+    us = discretized_solution(KernelParams(a=args.a), samples, args.delta, xs)
+    with open(args.out, "w", encoding="utf-8") as fh:
         fh.write("x,u\n")
         fh.writelines(svg._format_rows("%.12g,%.12g\n", (xs, us)))
-    if config.format == "svg":
-        config.out.with_suffix(".svg").write_text(
+    if args.format == "svg":
+        args.out.with_suffix(".svg").write_text(
             svg.curve_plot(xs, us), encoding="utf-8"
         )
     return 0
@@ -174,28 +162,36 @@ def _build_parser() -> argparse.ArgumentParser:
     coef.add_argument("--a", type=float, required=True, help="nonnegative kernel coefficient")
     data = argparse.ArgumentParser(add_help=False)
     data.add_argument("--data", type=Path, required=True, help="two-column x,y CSV")
+    step = argparse.ArgumentParser(add_help=False)
+    step.add_argument("--delta", type=float, default=0.01, help="grid step (default 0.01)")
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--out", type=Path, required=True, help="output CSV path")
+    table.add_argument(
+        "--format",
+        choices=_FORMATS,
+        default="csv",
+        help="svg additionally writes a plot next to the CSV",
+    )
 
-    p = sub.add_parser("predict", parents=[coef, data], help="predictive mean/variance table")
-    p.add_argument("--delta", type=float, default=0.01, help="grid step (default 0.01)")
+    # the commands are bound here, per call, so that rebinding one in this
+    # module takes effect
+    p = sub.add_parser(
+        "predict", parents=[coef, data, step, table], help="predictive mean/variance table"
+    )
     p.add_argument(
         "--queries",
         type=_parse_queries,
         default=None,
         help="comma-separated query abscissae in (0,1); default: interior grid at step delta",
     )
-    p.add_argument("--out", type=Path, required=True, help="output CSV path")
-    p.add_argument(
-        "--format",
-        choices=_FORMATS,
-        default="csv",
-        help="svg additionally writes a band plot next to the CSV",
-    )
+    p.set_defaults(run=cmd_predict)
 
-    sub.add_parser("matrix", parents=[coef, data], help="print the data covariance matrix")
+    sub.add_parser(
+        "matrix", parents=[coef, data], help="print the data covariance matrix"
+    ).set_defaults(run=cmd_matrix)
 
-    p = sub.add_parser("density", parents=[coef], help="density summary of one kernel section")
+    p = sub.add_parser("density", parents=[coef, step], help="density summary of one kernel section")
     p.add_argument("--y", type=float, required=True, help="anchor point in (0,1)")
-    p.add_argument("--delta", type=float, default=0.01, help="curve sampling step (default 0.01)")
     p.add_argument("--out", type=Path, default=None, help="curve SVG path (with --format svg)")
     p.add_argument(
         "--format",
@@ -203,30 +199,20 @@ def _build_parser() -> argparse.ArgumentParser:
         default="csv",
         help="svg writes the sampled density curve to --out",
     )
+    p.set_defaults(run=cmd_density)
 
-    p = sub.add_parser("solve", parents=[coef, data], help="superposed-response curve from the data")
-    p.add_argument("--delta", type=float, default=0.01, help="grid step (default 0.01)")
-    p.add_argument("--out", type=Path, required=True, help="output CSV path")
-    p.add_argument(
-        "--format",
-        choices=_FORMATS,
-        default="csv",
-        help="svg additionally writes a curve plot next to the CSV",
-    )
+    sub.add_parser(
+        "solve", parents=[coef, data, step, table], help="superposed-response curve from the data"
+    ).set_defaults(run=cmd_solve)
     return parser
 
 
 def main(argv=None) -> int:
-    args = vars(_build_parser().parse_args(argv))
-    # looked up per call, so that rebinding a command in this module takes effect
-    command = {
-        "predict": cmd_predict,
-        "matrix": cmd_matrix,
-        "density": cmd_density,
-        "solve": cmd_solve,
-    }[args.pop("command")]
+    args = _build_parser().parse_args(argv)
     try:
-        return command(RunConfig(**args))
+        if "delta" in args and not MIN_DELTA <= args.delta <= 0.5:
+            raise ValueError(f"delta must lie in [{MIN_DELTA:g}, 0.5], got {args.delta!r}")
+        return args.run(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

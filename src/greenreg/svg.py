@@ -55,17 +55,11 @@ def _document(body: str, x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> 
 
 
 def band_plot(x, mean, lo, hi, data_x, data_y) -> str:
-    """Shaded band from ``lo`` to ``hi``, mean polyline, data markers.
+    """Shaded band from ``lo`` to ``hi``, mean polyline, data markers (float arrays).
 
     The band polygon is emitted before the mean stroke so the line stays
     visible on top of the fill.
     """
-    x = np.asarray(x, dtype=float)
-    mean = np.asarray(mean, dtype=float)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    data_x = np.asarray(data_x, dtype=float)
-    data_y = np.asarray(data_y, dtype=float)
     x_lo, x_hi, y_lo, y_hi = _extents(
         np.concatenate([x, data_x]), np.concatenate([lo, hi, data_y])
     )
@@ -88,9 +82,7 @@ def band_plot(x, mean, lo, hi, data_x, data_y) -> str:
 
 
 def curve_plot(x, y) -> str:
-    """Single polyline through the points ``(x, y)``."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    """Single polyline through the points ``(x, y)``, two float arrays."""
     x_lo, x_hi, y_lo, y_hi = _extents(x, y)
     stroke = "%.6g" % ((y_hi - y_lo) / 200.0)
     body = (

@@ -175,6 +175,7 @@ bad_runs = st.one_of(
     )),
     st.builds(lambda d: ("--delta", repr(d)), st.one_of(
         st.floats(max_value=0.0), st.floats(min_value=0.5, exclude_min=True), st.just(float("nan")),
+        st.floats(min_value=0.0, max_value=cli.MIN_DELTA, exclude_min=True, exclude_max=True),
     )),
     st.builds(lambda q: ("--queries", f"0.5,{q!r}"), st.one_of(
         st.floats(max_value=0.0), st.floats(min_value=1.0), st.just(float("nan")),
