@@ -8,13 +8,7 @@ noise-free Bayesian prediction with mean, variance and a 2-sigma band.
 """
 
 from .density import DensityStats, density_stats
-from .kernel import (
-    KernelParams,
-    green_closed,
-    l1_norm,
-    normalized_green,
-    rkhs_inner_product,
-)
+from .kernel import KernelParams, green_closed, l1_norm, normalized_green
 from .regression import (
     Prediction,
     QueryGrid,
@@ -41,5 +35,4 @@ __all__ = [
     "normalized_green",
     "predict",
     "predictive_covariance",
-    "rkhs_inner_product",
 ]

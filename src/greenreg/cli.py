@@ -107,6 +107,8 @@ def cmd_density(args: argparse.Namespace) -> int:
     """Print density stats for the section at ``args.y``; optionally plot it."""
     if args.format == "svg" and args.out is None:
         raise ValueError("--format svg requires --out for the curve file")
+    if args.format != "svg" and args.out is not None:
+        raise ValueError("--out writes the curve file only with --format svg")
     params = KernelParams(a=args.a)
     stats = density_stats(params, args.y)
     print(

@@ -3,8 +3,7 @@
 G is evaluated in one closed hyperbolic form, accurate for every a from
 0 to ``MAX_COEFFICIENT``.  On top of it sits the L1 normalization that
 turns each section y -> G(. , y) into a probability density on [0, 1].
-Only :func:`rkhs_inner_product` integrates numerically, by composite
-Simpson on each side of its anchor.
+Every quantity here is a closed form; nothing integrates numerically.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -24,11 +22,6 @@ MAX_COEFFICIENT = math.sqrt(sys.float_info.max)
 # the exact ones by O(a**2) < 1e-300, while the products a * s inside the
 # closed forms would round in the subnormal range
 TINY_COEFFICIENT = math.sqrt(sys.float_info.min)
-
-# largest coefficient rkhs_inner_product accepts: there the layer of width
-# 1/a around the anchor still spans about two of the 2048 Simpson panels
-# on a branch, at most 1/2048 wide; the error grows like a**4 past it
-_INNER_PRODUCT_MAX_A = 1000.0
 
 
 @dataclass(frozen=True)
@@ -164,82 +157,3 @@ def normalized_green(params: KernelParams, x, y):
     out = _normalize(params.a, green_closed(params, x, y), *_l1_factors(params.a, y))
     return out if np.ndim(out) else float(out)
 
-
-def _green_dx_below(params: KernelParams, x, y: float):
-    """d/dx G(x, y) on the branch x < y (left-sided limit at x = y).
-
-    cosh(a x) sinh(a (1 - y)) / sinh(a), in decaying exponentials.
-    """
-    x = np.asarray(x, dtype=float)
-    a = params.a
-    cosh_part = np.exp(-a * (y - x)) * (1.0 + np.exp(-2.0 * a * x)) / 2.0
-    return cosh_part * _scaled_sinh_ratio(a, 1.0 - y)
-
-
-def _green_dx_above(params: KernelParams, x, y: float):
-    """d/dx G(x, y) on the branch x > y (right-sided limit at x = y).
-
-    The mirror image of :func:`_green_dx_below` under x -> 1 - x,
-    y -> 1 - y, with the sign flipped.
-    """
-    x = np.asarray(x, dtype=float)
-    a = params.a
-    cosh_part = np.exp(-a * (x - y)) * (1.0 + np.exp(-2.0 * a * (1.0 - x))) / 2.0
-    return -cosh_part * _scaled_sinh_ratio(a, y)
-
-
-def _simpson(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float) -> float:
-    """Composite Simpson integral of ``f`` over [lo, hi] on 2048 panels.
-
-    Raises ValueError naming the first node where ``f`` is not finite.
-    """
-    n = 2048
-    weights = np.ones(n + 1)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
-    nodes = np.linspace(lo, hi, n + 1)
-    fx = np.asarray(f(nodes), dtype=float)
-    bad = np.flatnonzero(~np.isfinite(fx))
-    if bad.size:
-        raise ValueError(f"integrand is not finite at node x={float(nodes[bad[0]])!r}")
-    return float((weights @ fx) * (hi - lo) / (3.0 * n))
-
-
-def rkhs_inner_product(
-    params: KernelParams,
-    u: Callable[[np.ndarray], np.ndarray],
-    du: Callable[[np.ndarray], np.ndarray],
-    y,
-) -> float:
-    """Inner product of ``u`` with the kernel section at ``y``.
-
-    Evaluates the integral over [0, 1] of u'(x) dG/dx(x, y)
-    + a^2 u(x) G(x, y).  In the Hilbert space where G reproduces point
-    evaluation this equals u(y) for any u vanishing at both endpoints,
-    up to quadrature error.
-
-    The x-derivative of G jumps by -1 across x = y, so the integral is
-    taken branchwise: [0, y] with the left-sided derivative and [y, 1]
-    with the right-sided one, each by :func:`_simpson`.  Both ``u`` and
-    ``du`` must accept arrays.
-
-    Raises ValueError for a above 1000 (``_INNER_PRODUCT_MAX_A``): the
-    fixed rule does not resolve the layer of width 1/a around ``y``
-    there.  For u = sin(pi x) the error is about 3e-9 at a = 100 and
-    4e-5 at a = 1000; at a = 1e4 it would be 0.1.
-    """
-    if params.a > _INNER_PRODUCT_MAX_A:
-        raise ValueError(
-            f"rkhs_inner_product needs a <= {_INNER_PRODUCT_MAX_A:g}, where its fixed"
-            f" 2048-panel rule resolves the kernel; got a={params.a!r}"
-        )
-    y = float(_as_open_unit("y", y))
-    a_sq = params.a * params.a
-
-    def below(x):
-        return du(x) * _green_dx_below(params, x, y) + a_sq * u(x) * green_closed(params, x, y)
-
-    def above(x):
-        return du(x) * _green_dx_above(params, x, y) + a_sq * u(x) * green_closed(params, x, y)
-
-    return _simpson(below, 0.0, y) + _simpson(above, y, 1.0)

@@ -7,7 +7,8 @@ x* = 40/99 (see DECOMPOSITION_X_STAR), not at 0.4.  Everything in EXACT
 was computed independently at 40-digit precision (mpmath) from the
 closed forms and frozen at full double precision; tests compare against
 these at tight tolerances.  ``mp_section`` computes the section
-quantities afresh at 60 or more digits for the sweeps over a and y.
+quantities afresh at 60 or more digits for the sweeps over a and y, and
+``mp_posterior`` the dense predictive mean and variance at 80 digits.
 """
 
 import functools
@@ -177,3 +178,38 @@ def mp_section(a, y):
             l1=float(l1), mean=float(y_ + shift), variance=float(variance), std=float(std),
             p_1s=float(p_1s), p_2s=float(p_2s),
         )
+
+
+def mp_posterior(a, xi, eta, x, dps=80):
+    """Predictive mean and variance at each query of ``x``, at ``dps`` digits.
+
+    The dense formulas mean = c^T K^{-1} eta and variance
+    H(x, x) - c^T K^{-1} c, with K[i, j] = H(xi_i, xi_j) and
+    c_i = H(x, xi_i), where H = G / L1 is built from the textbook
+    hyperbolic forms in mpmath.  The inputs are taken as the exact
+    binary values of the doubles, so subnormal queries lose nothing.
+    """
+    with mpmath.workdps(dps):
+        a_ = mpmath.mpf(a)
+
+        def h(s, t):
+            lo, hi = min(s, t), max(s, t)
+            if a_ == 0:
+                return lo * (1 - hi) / (t * (1 - t) / 2)
+            g = mpmath.sinh(a_ * lo) * mpmath.sinh(a_ * (1 - hi)) / (a_ * mpmath.sinh(a_))
+            l1 = 2 * mpmath.sinh(a_ * t / 2) * mpmath.sinh(a_ * (1 - t) / 2) / (
+                a_**2 * mpmath.cosh(a_ / 2)
+            )
+            return g / l1
+
+        sites = [mpmath.mpf(float(v)) for v in xi]
+        data_cov = mpmath.matrix([[h(s, t) for t in sites] for s in sites])
+        weights = mpmath.lu_solve(data_cov, mpmath.matrix([mpmath.mpf(float(v)) for v in eta]))
+        means, variances = [], []
+        for q in np.atleast_1d(x):
+            q = mpmath.mpf(float(q))
+            c = mpmath.matrix([h(q, s) for s in sites])
+            explained = mpmath.lu_solve(data_cov, c)
+            means.append(float(sum(c[i] * weights[i] for i in range(len(sites)))))
+            variances.append(float(h(q, q) - sum(c[i] * explained[i] for i in range(len(sites)))))
+        return np.array(means), np.array(variances)

@@ -1,8 +1,10 @@
 """End-to-end command-line behavior: files in, files/stdout out, exit codes."""
 
 import argparse
+import importlib
 import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -269,6 +271,17 @@ class TestExitCodes:
         assert captured.out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv"]
 
+    def test_density_out_without_svg_writes_nothing(self, tmp_path, capsys):
+        # the curve is written only as SVG; an --out that would stay empty
+        # is refused before the summary is printed
+        out = tmp_path / "curve.svg"
+        rc = cli.main(["density", "--a", "1", "--y", "0.5", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert "--format svg" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
+
     def test_delta_floor_is_accepted(self, capsys):
         assert cli.main(["density", "--a", "1", "--y", "0.5",
                          "--delta", repr(cli.MIN_DELTA)]) == 0
@@ -316,13 +329,18 @@ def _run_every_command(data_file, tmp_path, a, capsys):
 
 
 class TestEveryCoefficient:
-    def test_no_command_integrates(self, data_file, tmp_path, capsys, monkeypatch):
-        def boom(*args, **kwargs):
-            raise AssertionError("quadrature called")
-
-        monkeypatch.setattr("greenreg.kernel._simpson", boom)
+    def test_no_command_integrates(self, data_file, tmp_path, capsys):
         for a in ("0", "1", "100", "1e154"):
             _run_every_command(data_file, tmp_path, a, capsys)
+        # the quadrature rule and the inner product built on it live in
+        # tests/reference.py; no module of the package may bind them
+        modules = [greenreg] + [
+            importlib.import_module(f"greenreg.{info.name}")
+            for info in pkgutil.iter_modules(greenreg.__path__)
+        ]
+        for module in modules:
+            for name in ("_simpson", "rkhs_inner_product"):
+                assert not hasattr(module, name), f"{module.__name__}.{name}"
 
     @pytest.mark.parametrize("a", ["5e-324", "1e-300", "1e-200"])
     def test_tiny_coefficient_gives_the_zero_output(self, data_file, tmp_path, capsys, a):
@@ -499,7 +517,6 @@ def test_every_entry_point_runs_with_scipy_blocked(data_file, tmp_path):
     code = """
 import sys
 sys.modules["scipy"] = None
-import numpy as np
 import greenreg as g
 from greenreg import cli
 
@@ -515,7 +532,6 @@ calls = {
     "normalized_green": lambda: g.normalized_green(p, 0.3, 0.5),
     "predict": lambda: g.predict(p, s, q),
     "predictive_covariance": lambda: g.predictive_covariance(p, s, q),
-    "rkhs_inner_product": lambda: g.rkhs_inner_product(p, np.sin, np.cos, 0.5),
 }
 functions = {n for n in g.__all__ if callable(getattr(g, n)) and not isinstance(getattr(g, n), type)}
 assert set(calls) == functions, functions ^ set(calls)

@@ -17,6 +17,7 @@ from greenreg import cli
 from greenreg.cli import _axis_grid
 from greenreg.kernel import KernelParams, green_closed, normalized_green
 from greenreg.regression import (
+    MIN_ABSCISSA_GAP,
     QueryGrid,
     SampleSet,
     _clamp_variances,
@@ -238,6 +239,60 @@ class TestTwoNeighbourPredictor:
             tracemalloc.stop()
         assert peak < 16 * 2**20
         assert cov.shape == (10, 10) and np.all(np.isfinite(cov))
+
+
+def _midway_at_the_gap_floor(params, lo):
+    """Predicted and 80-digit (mean, variance) midway between lo and the site the floor above it.
+
+    The upper site is the first double at least MIN_ABSCISSA_GAP above lo,
+    so the pair is as close as SampleSet allows.  Also returns H(x, x).
+    """
+    hi = lo + MIN_ABSCISSA_GAP
+    if hi - lo < MIN_ABSCISSA_GAP:
+        hi = np.nextafter(hi, 1.0)
+    samples = SampleSet(xi=[lo, hi], eta=[1.0, 2.0])
+    mid = lo + (hi - lo) / 2
+    pred = predict(params, samples, QueryGrid(x_star=[mid]))
+    mean, var = refvals.mp_posterior(params.a, samples.xi, samples.eta, [mid])
+    return (pred.mean[0], pred.variance[0]), (mean[0], var[0]), normalized_green(params, mid, mid)
+
+
+class TestAgainstMpmath:
+    @pytest.mark.parametrize("a", [0.0, 1.0, 10.0])
+    def test_sites_the_gap_floor_apart(self, a):
+        # midway, the variance is H(x, x) minus nearly all of itself; at the
+        # README's sites it came out within 1.1e-7 of the exact value
+        for lo in refvals.XI:
+            (mean, var), (want_mean, want_var), _ = _midway_at_the_gap_floor(KernelParams(a=a), lo)
+            assert abs(mean - want_mean) <= 1e-15 * abs(want_mean)
+            assert abs(var - want_var) <= 2e-7 * want_var
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, 10.0])
+    def test_gap_floor_error_is_a_few_ulp_of_the_prior(self, a):
+        # relative to the variance the error depends on where the sites fall:
+        # a sweep of 400 placements found at most 3.2 ulp of H(x, x), which is
+        # 5.4e-7 of the variance at lo = 0.47196589992007265 and a = 1
+        anchors = np.concatenate((np.linspace(0.01, 0.99, 50), [0.47196589992007265]))
+        for lo in anchors:
+            (mean, var), (want_mean, want_var), prior = _midway_at_the_gap_floor(
+                KernelParams(a=a), lo
+            )
+            assert abs(mean - want_mean) <= 1e-15 * abs(want_mean)
+            assert abs(var - want_var) <= 8 * np.finfo(float).eps * prior
+
+    @pytest.mark.parametrize("a", [1e-90, 1e-50, 1e-10, 1e-3, 0.5, 1.0])
+    def test_subnormal_and_extreme_queries(self, samples, a):
+        # the float dense reference keeps no digits where L1(x) is subnormal
+        x = np.array([5e-324, 1e-320, 1e-310, 2.2250738585072014e-308, 1e-300, 1e-200,
+                      1.0 - 2.0**-53, 1.0 - 2.0**-52])
+        pred = predict(KernelParams(a=a), samples, QueryGrid(x_star=x))
+        mean, var = refvals.mp_posterior(a, samples.xi, samples.eta, x)
+        # a subnormal mean has an absolute grain of 5e-324: the product in
+        # the bracket weights rounds there before the division by the span,
+        # which left errors of up to 4 grains (at 1e-310, a = 1e-10 and 1)
+        err = np.abs(pred.mean - mean)
+        assert np.all((err <= 1e-15 * np.abs(mean)) | (err <= 8 * 5e-324))
+        assert np.all(np.abs(pred.variance - var) <= 1e-14 * var)
 
 
 class TestVarianceClamp:
