@@ -3,18 +3,26 @@
 Exit statuses: 0 on success, 1 on validation or parse errors (bad flags,
 malformed data files, out-of-range values) and on unreadable or
 unwritable files.  Every computation is in closed form, so no valid input
-fails numerically.  Validation always happens before the output path is
-touched.  ``--delta`` (``predict``, ``density`` and ``solve``) is checked
-once, against [MIN_DELTA, 0.5], before any command runs, so no grid has
-more than 1 000 001 rows.
+fails numerically.  With ``--format svg``, ``predict`` and ``solve`` write
+their table from a forked child while this process draws the plot;
+validation still happens before any output is touched.  ``--delta``
+(``predict``, ``density`` and ``solve``) is checked once, against
+[MIN_DELTA, 0.5], before any command runs, so no grid has more than
+1 000 001 rows.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
+from functools import partial
 from pathlib import Path
+
+# greenreg calls no BLAS; with one BLAS thread, numpy's import starts no
+# worker thread, so the process stays single-threaded and safe to fork
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -72,6 +80,58 @@ def _axis_grid(delta: float) -> np.ndarray:
     return np.minimum(np.arange(m + 1) * delta, 1.0)
 
 
+def _write_table(fh, header: str, template: str, columns, trailer: str) -> None:
+    fh.write(header)
+    fh.writelines(svg._format_rows(template, columns))
+    fh.write(trailer)
+
+
+def _write_outputs(out: Path, table: tuple, plot) -> None:
+    """Write ``table`` as the CSV ``out`` and, unless ``plot`` is None, ``plot()`` beside it.
+
+    ``table`` is (header, row template, columns, trailer).  With a plot
+    and ``os.fork``, a forked child writes the table while this process
+    draws the plot: both passes are Python formatting, which holds the
+    GIL, and the child shares the columns without copying them.  The CSV
+    is opened before the fork, so an unwritable ``out`` fails with nothing
+    written.  The child sends a failure's message through a pipe, and it
+    is raised here as OSError, once the plot is done or has failed.
+    """
+    plot_path = out.with_suffix(".svg")
+    if plot is None or not hasattr(os, "fork"):
+        with open(out, "w", encoding="utf-8") as fh:
+            _write_table(fh, *table)
+        if plot is not None:
+            plot_path.write_text(plot(), encoding="utf-8")
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            # the child writes the file, through its copy of fh; it never
+            # returns into main, and never flushes the stdio it inherited
+            code = 1
+            try:
+                with fh:
+                    _write_table(fh, *table)
+                code = 0
+            except Exception as exc:
+                os.write(write_end, str(exc).encode())
+            finally:
+                os._exit(code)
+        # this process never writes to fh: its buffer is empty, so its
+        # close flushes nothing
+        os.close(write_end)
+        try:
+            plot_path.write_text(plot(), encoding="utf-8")
+        finally:
+            with os.fdopen(read_end, "rb") as pipe:
+                message = pipe.read().decode()
+            status = os.waitpid(pid, 0)[1]
+            if status:
+                raise OSError(message or f"the table writer failed (wait status {status})")
+
+
 def cmd_predict(args: argparse.Namespace) -> int:
     """Write the predictive table as CSV; with format=svg also a band plot."""
     samples = load_samples(args.data)
@@ -82,15 +142,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
     pred = predict(KernelParams(a=args.a), samples, grid)
 
     columns = (pred.x_star, pred.mean, pred.variance, pred.std, pred.band_lo, pred.band_hi)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("x_star,mean,variance,std,band_lo,band_hi\n")
-        fh.writelines(svg._format_rows(",".join(["%.12g"] * 6) + "\n", columns))
-        fh.write(f"# clamped={pred.clamped_count}\n")
+    header = "x_star,mean,variance,std,band_lo,band_hi\n"
+    table = (header, ",".join(["%.12g"] * 6) + "\n", columns, f"# clamped={pred.clamped_count}\n")
+    plot = None
     if args.format == "svg":
-        doc = svg.band_plot(
-            pred.x_star, pred.mean, pred.band_lo, pred.band_hi, samples.xi, samples.eta
-        )
-        args.out.with_suffix(".svg").write_text(doc, encoding="utf-8")
+        plot = partial(svg.band_plot, pred.x_star, pred.mean, pred.band_lo, pred.band_hi,
+                       samples.xi, samples.eta)
+    _write_outputs(args.out, table, plot)
     return 0
 
 
@@ -127,13 +185,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
     samples = load_samples(args.data)
     xs = _axis_grid(args.delta)
     us = discretized_solution(KernelParams(a=args.a), samples, args.delta, xs)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("x,u\n")
-        fh.writelines(svg._format_rows("%.12g,%.12g\n", (xs, us)))
-    if args.format == "svg":
-        args.out.with_suffix(".svg").write_text(
-            svg.curve_plot(xs, us), encoding="utf-8"
-        )
+    table = ("x,u\n", "%.12g,%.12g\n", (xs, us), "")
+    plot = partial(svg.curve_plot, xs, us) if args.format == "svg" else None
+    _write_outputs(args.out, table, plot)
     return 0
 
 

@@ -219,6 +219,103 @@ class TestSolveCommand:
         assert (tmp_path / "sol.svg").exists()
 
 
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedWriter:
+    # with --format svg, predict and solve write the CSV from a forked child
+    # while the parent draws the SVG; where the parent commit has the same
+    # case, status, stderr and the files left are the same
+
+    def test_plot_path_is_a_directory(self, data_file, tmp_path, capsys):
+        out = tmp_path / "sol.csv"
+        (tmp_path / "sol.svg").mkdir()
+        rc = cli.main(["solve", "--data", str(data_file), "--a", "1", "--delta", "1e-3",
+                       "--out", str(out), "--format", "svg"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: [Errno 21] Is a directory: {str(tmp_path / 'sol.svg')!r}\n"
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 1002 and lines[-1] == "1,0"
+
+    def test_out_in_a_missing_directory(self, data_file, tmp_path, capsys):
+        out = tmp_path / "missing" / "pred.csv"
+        rc = cli.main(["predict", "--data", str(data_file), "--a", "1", "--out", str(out),
+                       "--format", "svg"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: [Errno 2] No such file or directory")
+        assert not (tmp_path / "missing").exists()
+
+    def test_failing_format_pass(self, data_file, tmp_path, capsys, monkeypatch):
+        def disk_full(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(svg, "_format_rows", disk_full)
+        out = tmp_path / "sol.csv"
+        rc = cli.main(["solve", "--data", str(data_file), "--a", "1", "--out", str(out),
+                       "--format", "svg"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert out.read_text(encoding="utf-8") == "x,u\n"
+        assert not (tmp_path / "sol.svg").exists()
+
+    def test_failure_of_the_table_alone_is_reported(self, data_file, tmp_path, capsys,
+                                                    monkeypatch):
+        # the plot succeeds, so the error can only come through the pipe
+        def disk_full(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli, "_write_table", disk_full)
+        rc = cli.main(["predict", "--data", str(data_file), "--a", "1",
+                       "--out", str(tmp_path / "pred.csv"), "--format", "svg"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        assert (tmp_path / "pred.svg").exists()
+
+    def test_silent_death_of_the_table_writer_is_reported(self, data_file, tmp_path, capsys,
+                                                          monkeypatch):
+        monkeypatch.setattr(cli, "_write_table", lambda *args: os._exit(3))
+        rc = cli.main(["solve", "--data", str(data_file), "--a", "1",
+                       "--out", str(tmp_path / "sol.csv"), "--format", "svg"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: the table writer failed (wait status 768)\n"
+
+    def test_no_child_is_left_unreaped(self, data_file, tmp_path):
+        for command in ("predict", "solve"):
+            rc = cli.main([command, "--data", str(data_file), "--a", "1",
+                           "--out", str(tmp_path / "o.csv"), "--format", "svg"])
+            assert rc == 0
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
+    def test_without_fork_the_bytes_are_the_same(self, data_file, tmp_path, monkeypatch):
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        outputs = {}
+        for side in ("forked", "sequential"):
+            if side == "sequential":
+                monkeypatch.delattr(os, "fork")
+            for command in ("predict", "solve"):
+                out = tmp_path / side / f"{command}.csv"
+                out.parent.mkdir(exist_ok=True)
+                rc = cli.main([command, "--data", str(data_file), "--a", "10",
+                               "--delta", "1e-3", "--out", str(out), "--format", "svg"])
+                assert rc == 0
+                outputs[side, command] = (out.read_bytes(), out.with_suffix(".svg").read_bytes())
+                # the table alone is written in this process
+                rc = cli.main([command, "--data", str(data_file), "--a", "10",
+                               "--out", str(tmp_path / "plain.csv")])
+                assert rc == 0
+            assert len(forks) == 2
+        for command in ("predict", "solve"):
+            assert outputs["forked", command] == outputs["sequential", command]
+
+
 class TestExitCodes:
     def test_missing_required_flag_exits_one(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -494,26 +591,82 @@ def test_names_the_benchmark_reads():
     assert isinstance(regression.MIN_ABSCISSA_GAP, float)
 
 
-def test_cli_import_loads_no_scipy():
-    # the package needs no scipy; an import of it, even an unused one,
-    # would add its start-up time to every command
+def run_python(*args, cwd=None):
+    """Run this interpreter on ``args`` with the package's source first on the path."""
     src = str(Path(greenreg.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
+                          text=True)
+
+
+def test_cli_import_loads_no_scipy():
+    # the package needs no scipy; an import of it, even an unused one,
+    # would add its start-up time to every command
     code = (
         "import greenreg.cli, sys; "
         "assert not any(m.startswith('scipy') for m in sys.modules)"
     )
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = run_python("-c", code)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_package_import_loads_no_numpy():
+    # the names load on first use, so that cli.py can pin BLAS to one
+    # thread before anything imports numpy
+    proc = run_python("-c", "import greenreg, sys; assert 'numpy' not in sys.modules")
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
+def test_cli_import_leaves_one_thread():
+    # the CLI forks; a second thread, such as a BLAS worker, would make the
+    # fork unsafe, and Python 3.12 and later warn about it
+    code = (
+        "import greenreg.cli; "
+        "print(open('/proc/self/status').read().split('Threads:')[1].split()[0])"
+    )
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n"
+
+
+def test_every_public_name_resolves_lazily():
+    code = """
+import greenreg
+assert len(greenreg.__all__) == 13
+for name in greenreg.__all__:
+    assert getattr(greenreg, name).__name__ == name, name
+assert set(greenreg.__all__) <= set(dir(greenreg))
+from greenreg import predict
+assert predict is greenreg.regression.predict
+try:
+    greenreg.rkhs_inner_product
+except AttributeError:
+    pass
+else:
+    raise AssertionError("an unknown name resolved")
+"""
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_run_warnings_clean(data_file, tmp_path):
+    # -X dev reports unclosed files and descriptors, and with -W error any
+    # warning, such as Python 3.12's about forking with threads, is an error
+    for argv in (
+        ["predict", "--data", str(data_file), "--a", "1", "--out", "p.csv", "--format", "svg"],
+        ["solve", "--data", str(data_file), "--a", "1", "--out", "s.csv", "--format", "svg"],
+        ["matrix", "--data", str(data_file), "--a", "1"],
+        ["density", "--a", "1", "--y", "0.5", "--format", "svg", "--out", "c.svg"],
+    ):
+        proc = run_python("-X", "dev", "-W", "error", "-m", "greenreg.cli", *argv, cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
 
 
 def test_every_entry_point_runs_with_scipy_blocked(data_file, tmp_path):
     # scipy is not a dependency: every computing name of the public API
     # and every command must work where importing it fails
-    src = str(Path(greenreg.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     code = """
 import sys
 sys.modules["scipy"] = None
@@ -547,6 +700,5 @@ for argv in (
     assert cli.main(argv) == 0, argv
 assert sys.modules["scipy"] is None
 """
-    proc = subprocess.run([sys.executable, "-c", code, str(data_file), str(tmp_path)], env=env,
-                          capture_output=True, text=True)
+    proc = run_python("-c", code, str(data_file), str(tmp_path))
     assert proc.returncode == 0, proc.stderr

@@ -88,7 +88,9 @@ def test_scan_matches_the_dense_superposition(params, s, x):
     got = discretized_solution(params, s, delta, x)
     g = green_closed(params, x[:, None], s.xi)
     dense = delta * (g @ s.eta)
-    assert np.all(np.abs(got - dense) <= 1e-12 * delta * (g @ np.abs(s.eta)))
+    # the floor, two units of the subnormal spacing 5e-324, is where the
+    # relative bound underflows at subnormal queries
+    assert np.all(np.abs(got - dense) <= 1e-12 * delta * (g @ np.abs(s.eta)) + 1e-323)
     assert np.all(got[(x == 0.0) | (x == 1.0)] == 0.0)
 
 
