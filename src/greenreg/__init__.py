@@ -5,42 +5,34 @@ Dirichlet data, rescaled so every section integrates to one.  Sections
 of the rescaled kernel serve double duty: probability densities (with
 moments and central-interval masses) and covariance entries for
 noise-free Bayesian prediction with mean, variance and a 2-sigma band.
-
-The public names are loaded from their submodules on first use (PEP 562),
-so ``import greenreg`` alone imports no numpy.
 """
 
-import importlib
+from .density import DensityStats, density_stats
+from .kernel import KernelParams, green_closed, l1_norm, normalized_green
+from .regression import (
+    Prediction,
+    QueryGrid,
+    SampleSet,
+    build_cov_matrix,
+    discretized_solution,
+    predict,
+    predictive_covariance,
+)
 
 __version__ = "0.1.0"
 
-# public name -> the submodule that defines it
-_SOURCES = {
-    "DensityStats": "density",
-    "KernelParams": "kernel",
-    "Prediction": "regression",
-    "QueryGrid": "regression",
-    "SampleSet": "regression",
-    "build_cov_matrix": "regression",
-    "density_stats": "density",
-    "discretized_solution": "regression",
-    "green_closed": "kernel",
-    "l1_norm": "kernel",
-    "normalized_green": "kernel",
-    "predict": "regression",
-    "predictive_covariance": "regression",
-}
-
-__all__ = list(_SOURCES)
-
-
-def __getattr__(name):
-    if name not in _SOURCES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f".{_SOURCES[name]}", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted({*globals(), *__all__})
+__all__ = [
+    "DensityStats",
+    "KernelParams",
+    "Prediction",
+    "QueryGrid",
+    "SampleSet",
+    "build_cov_matrix",
+    "density_stats",
+    "discretized_solution",
+    "green_closed",
+    "l1_norm",
+    "normalized_green",
+    "predict",
+    "predictive_covariance",
+]

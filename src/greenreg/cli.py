@@ -17,12 +17,10 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from functools import partial
+from itertools import chain
 from pathlib import Path
-
-# greenreg calls no BLAS; with one BLAS thread, numpy's import starts no
-# worker thread, so the process stays single-threaded and safe to fork
-os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -80,54 +78,65 @@ def _axis_grid(delta: float) -> np.ndarray:
     return np.minimum(np.arange(m + 1) * delta, 1.0)
 
 
-def _write_table(fh, header: str, template: str, columns, trailer: str) -> None:
-    fh.write(header)
-    fh.writelines(svg._format_rows(template, columns))
-    fh.write(trailer)
+def _fork_table_writer(fh, table):
+    """Fork a child that writes the text blocks ``table`` to ``fh``; return its
+    pid and the read end of its error pipe, or None where no child can be started."""
+    fds = ()
+    try:
+        fds = os.pipe()
+        with warnings.catch_warnings():
+            # Python 3.12+ warns on a fork with threads, such as numpy's BLAS
+            # worker; the child calls no BLAS, it only formats and writes
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        for fd in fds:
+            os.close(fd)
+        return None
+    if pid == 0:
+        # the child writes the file, through its copy of fh; it never
+        # returns into main, and never flushes the stdio it inherited
+        try:
+            with fh:
+                fh.writelines(table)
+            os._exit(0)
+        except Exception as exc:
+            os.write(fds[1], str(exc).encode())
+        finally:
+            os._exit(1)
+    os.close(fds[1])
+    return pid, fds[0]
 
 
-def _write_outputs(out: Path, table: tuple, plot) -> None:
-    """Write ``table`` as the CSV ``out`` and, unless ``plot`` is None, ``plot()`` beside it.
+def _write_outputs(out: Path, table, plot) -> None:
+    """Write the text blocks ``table`` to ``out`` and ``plot()``, if any, to its .svg sibling.
 
-    ``table`` is (header, row template, columns, trailer).  With a plot
-    and ``os.fork``, a forked child writes the table while this process
-    draws the plot: both passes are Python formatting, which holds the
-    GIL, and the child shares the columns without copying them.  The CSV
-    is opened before the fork, so an unwritable ``out`` fails with nothing
-    written.  The child sends a failure's message through a pipe, and it
-    is raised here as OSError, once the plot is done or has failed.
+    ``table`` is formatted as it is written.  With a plot, a forked child
+    writes the table while this process draws the plot: both passes are
+    Python formatting, which holds the GIL.  The CSV is opened first, so
+    an unwritable ``out`` fails with nothing written.  A failure of the
+    child is raised here as OSError, once the plot is done or failed.
     """
     plot_path = out.with_suffix(".svg")
-    if plot is None or not hasattr(os, "fork"):
+    child = None
+    try:
         with open(out, "w", encoding="utf-8") as fh:
-            _write_table(fh, *table)
+            # where the plot's path is the CSV's (--out p.svg), the plot must
+            # replace the whole table, so the table is written first, here
+            same = os.path.exists(plot_path) and os.path.samefile(plot_path, out)
+            if plot is not None and hasattr(os, "fork") and not same:
+                # this process never writes to fh: its buffer is empty, so
+                # its close flushes nothing
+                child = _fork_table_writer(fh, table)
+            if child is None:
+                fh.writelines(table)
         if plot is not None:
             plot_path.write_text(plot(), encoding="utf-8")
-        return
-    with open(out, "w", encoding="utf-8") as fh:
-        read_end, write_end = os.pipe()
-        pid = os.fork()
-        if pid == 0:
-            # the child writes the file, through its copy of fh; it never
-            # returns into main, and never flushes the stdio it inherited
-            code = 1
-            try:
-                with fh:
-                    _write_table(fh, *table)
-                code = 0
-            except Exception as exc:
-                os.write(write_end, str(exc).encode())
-            finally:
-                os._exit(code)
-        # this process never writes to fh: its buffer is empty, so its
-        # close flushes nothing
-        os.close(write_end)
-        try:
-            plot_path.write_text(plot(), encoding="utf-8")
-        finally:
-            with os.fdopen(read_end, "rb") as pipe:
+    finally:
+        if child is not None:
+            with os.fdopen(child[1], "rb") as pipe:
                 message = pipe.read().decode()
-            status = os.waitpid(pid, 0)[1]
+            status = os.waitpid(child[0], 0)[1]
             if status:
                 raise OSError(message or f"the table writer failed (wait status {status})")
 
@@ -143,7 +152,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
     columns = (pred.x_star, pred.mean, pred.variance, pred.std, pred.band_lo, pred.band_hi)
     header = "x_star,mean,variance,std,band_lo,band_hi\n"
-    table = (header, ",".join(["%.12g"] * 6) + "\n", columns, f"# clamped={pred.clamped_count}\n")
+    rows = svg._format_rows(",".join(["%.12g"] * 6) + "\n", columns)
+    table = chain([header], rows, [f"# clamped={pred.clamped_count}\n"])
     plot = None
     if args.format == "svg":
         plot = partial(svg.band_plot, pred.x_star, pred.mean, pred.band_lo, pred.band_hi,
@@ -185,7 +195,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     samples = load_samples(args.data)
     xs = _axis_grid(args.delta)
     us = discretized_solution(KernelParams(a=args.a), samples, args.delta, xs)
-    table = ("x,u\n", "%.12g,%.12g\n", (xs, us), "")
+    table = chain(["x,u\n"], svg._format_rows("%.12g,%.12g\n", (xs, us)))
     plot = partial(svg.curve_plot, xs, us) if args.format == "svg" else None
     _write_outputs(args.out, table, plot)
     return 0

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: files in, files/stdout out, exit codes."""
 
 import argparse
+import errno
 import importlib
 import inspect
 import os
@@ -246,8 +247,10 @@ class TestForkedWriter:
         assert not (tmp_path / "missing").exists()
 
     def test_failing_format_pass(self, data_file, tmp_path, capsys, monkeypatch):
+        # a generator, as svg._format_rows is: it fails once the blocks are drawn
         def disk_full(*args):
             raise OSError("disk full")
+            yield
 
         monkeypatch.setattr(svg, "_format_rows", disk_full)
         out = tmp_path / "sol.csv"
@@ -258,26 +261,94 @@ class TestForkedWriter:
         assert out.read_text(encoding="utf-8") == "x,u\n"
         assert not (tmp_path / "sol.svg").exists()
 
-    def test_failure_of_the_table_alone_is_reported(self, data_file, tmp_path, capsys,
-                                                    monkeypatch):
+    def test_failure_of_the_table_alone_is_reported(self, tmp_path):
         # the plot succeeds, so the error can only come through the pipe
-        def disk_full(*args):
+        def blocks():
+            yield "x,u\n"
             raise OSError("disk full")
 
-        monkeypatch.setattr(cli, "_write_table", disk_full)
-        rc = cli.main(["predict", "--data", str(data_file), "--a", "1",
-                       "--out", str(tmp_path / "pred.csv"), "--format", "svg"])
-        assert rc == 1
-        assert capsys.readouterr().err == "error: disk full\n"
-        assert (tmp_path / "pred.svg").exists()
+        with pytest.raises(OSError, match="^disk full$"):
+            cli._write_outputs(tmp_path / "sol.csv", blocks(), lambda: "<svg/>\n")
+        assert (tmp_path / "sol.csv").read_text(encoding="utf-8") == "x,u\n"
+        assert (tmp_path / "sol.svg").read_text(encoding="utf-8") == "<svg/>\n"
 
-    def test_silent_death_of_the_table_writer_is_reported(self, data_file, tmp_path, capsys,
-                                                          monkeypatch):
-        monkeypatch.setattr(cli, "_write_table", lambda *args: os._exit(3))
-        rc = cli.main(["solve", "--data", str(data_file), "--a", "1",
-                       "--out", str(tmp_path / "sol.csv"), "--format", "svg"])
-        assert rc == 1
-        assert capsys.readouterr().err == "error: the table writer failed (wait status 768)\n"
+    def test_silent_death_of_the_table_writer_is_reported(self, tmp_path):
+        def blocks():
+            os._exit(3)
+            yield ""
+
+        with pytest.raises(OSError, match=r"^the table writer failed \(wait status 768\)$"):
+            cli._write_outputs(tmp_path / "sol.csv", blocks(), lambda: "<svg/>\n")
+
+    @staticmethod
+    def _run_both_ways(monkeypatch, argv, out):
+        """Bytes of ``out`` and its .svg after ``argv`` with and without ``os.fork``,
+        and the number of forks made."""
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        outputs = []
+        for forking in (True, False):
+            if not forking:
+                monkeypatch.delattr(os, "fork")
+            assert cli.main([*argv, "--out", str(out), "--format", "svg"]) == 0
+            outputs.append((out.read_bytes(), out.with_suffix(".svg").read_bytes()))
+        return outputs, len(forks)
+
+    def test_plot_named_like_the_table(self, data_file, tmp_path, monkeypatch):
+        # with --out s.svg the plot replaces the table, as where the two are
+        # written one after the other; no child may write the table meanwhile
+        argv = ["solve", "--data", str(data_file), "--a", "1", "--delta", "1e-5"]
+        (forked, sequential), forks = self._run_both_ways(monkeypatch, argv, tmp_path / "s.svg")
+        assert forked == sequential and forks == 0
+        assert forked[0].startswith(b"<svg ")
+
+    def test_plot_path_linked_to_the_table(self, data_file, tmp_path, monkeypatch):
+        (tmp_path / "s.svg").symlink_to(tmp_path / "s.csv")
+        argv = ["solve", "--data", str(data_file), "--a", "1", "--delta", "1e-4"]
+        (forked, sequential), forks = self._run_both_ways(monkeypatch, argv, tmp_path / "s.csv")
+        assert forked == sequential and forks == 0
+        assert forked[0].startswith(b"<svg ")
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc")
+    @pytest.mark.parametrize("failing", ["pipe", "fork"])
+    def test_no_child_to_be_had_falls_back(self, data_file, tmp_path, monkeypatch, failing):
+        # running out of processes or descriptors costs the overlap, not the
+        # command, and leaks no descriptor
+        argv = ["predict", "--data", str(data_file), "--a", "1", "--out"]
+        assert cli.main([*argv, str(tmp_path / "forked.csv"), "--format", "svg"]) == 0
+
+        def out_of_resources(*args):
+            raise OSError(errno.EAGAIN if failing == "fork" else errno.EMFILE, "no more")
+
+        monkeypatch.setattr(os, failing, out_of_resources)
+        fds = len(os.listdir("/proc/self/fd"))
+        assert cli.main([*argv, str(tmp_path / "fallback.csv"), "--format", "svg"]) == 0
+        assert len(os.listdir("/proc/self/fd")) == fds
+        for suffix in (".csv", ".svg"):
+            assert ((tmp_path / "fallback").with_suffix(suffix).read_bytes()
+                    == (tmp_path / "forked").with_suffix(suffix).read_bytes())
+
+    def test_fork_with_threads_warns_nothing(self, data_file, tmp_path, monkeypatch):
+        # Python 3.12 and later warn when a process with threads forks; the
+        # child calls no BLAS, so the warning is not let through
+        fork = os.fork
+
+        def warning_fork():
+            warnings.warn("This process is multi-threaded", DeprecationWarning)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["solve", "--data", str(data_file), "--a", "1",
+                           "--out", str(tmp_path / "sol.csv"), "--format", "svg"])
+        assert rc == 0
 
     def test_no_child_is_left_unreaped(self, data_file, tmp_path):
         for command in ("predict", "solve"):
@@ -287,33 +358,22 @@ class TestForkedWriter:
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
 
-    def test_without_fork_the_bytes_are_the_same(self, data_file, tmp_path, monkeypatch):
-        forks = []
-        fork = os.fork
+    @pytest.mark.parametrize("command", ["predict", "solve"])
+    def test_without_fork_the_bytes_are_the_same(self, data_file, tmp_path, monkeypatch,
+                                                 command):
+        argv = [command, "--data", str(data_file), "--a", "10", "--delta", "1e-3"]
+        (forked, sequential), forks = self._run_both_ways(monkeypatch, argv, tmp_path / "o.csv")
+        assert forked == sequential and forks == 1
 
-        def counted_fork():
-            forks.append(1)
-            return fork()
+    @pytest.mark.parametrize("command", ["predict", "solve"])
+    def test_table_alone_is_written_in_this_process(self, data_file, tmp_path, monkeypatch,
+                                                    command):
+        def no_fork():
+            raise AssertionError("forked for a table alone")
 
-        monkeypatch.setattr(os, "fork", counted_fork)
-        outputs = {}
-        for side in ("forked", "sequential"):
-            if side == "sequential":
-                monkeypatch.delattr(os, "fork")
-            for command in ("predict", "solve"):
-                out = tmp_path / side / f"{command}.csv"
-                out.parent.mkdir(exist_ok=True)
-                rc = cli.main([command, "--data", str(data_file), "--a", "10",
-                               "--delta", "1e-3", "--out", str(out), "--format", "svg"])
-                assert rc == 0
-                outputs[side, command] = (out.read_bytes(), out.with_suffix(".svg").read_bytes())
-                # the table alone is written in this process
-                rc = cli.main([command, "--data", str(data_file), "--a", "10",
-                               "--out", str(tmp_path / "plain.csv")])
-                assert rc == 0
-            assert len(forks) == 2
-        for command in ("predict", "solve"):
-            assert outputs["forked", command] == outputs["sequential", command]
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert cli.main([command, "--data", str(data_file), "--a", "10",
+                         "--out", str(tmp_path / "o.csv")]) == 0
 
 
 class TestExitCodes:
@@ -611,27 +671,7 @@ def test_cli_import_loads_no_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_package_import_loads_no_numpy():
-    # the names load on first use, so that cli.py can pin BLAS to one
-    # thread before anything imports numpy
-    proc = run_python("-c", "import greenreg, sys; assert 'numpy' not in sys.modules")
-    assert proc.returncode == 0, proc.stderr
-
-
-@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc")
-def test_cli_import_leaves_one_thread():
-    # the CLI forks; a second thread, such as a BLAS worker, would make the
-    # fork unsafe, and Python 3.12 and later warn about it
-    code = (
-        "import greenreg.cli; "
-        "print(open('/proc/self/status').read().split('Threads:')[1].split()[0])"
-    )
-    proc = run_python("-c", code)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1\n"
-
-
-def test_every_public_name_resolves_lazily():
+def test_every_public_name_resolves():
     code = """
 import greenreg
 assert len(greenreg.__all__) == 13
