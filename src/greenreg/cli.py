@@ -4,11 +4,12 @@ Exit statuses: 0 on success, 1 on validation or parse errors (bad flags,
 malformed data files, out-of-range values) and on unreadable or
 unwritable files.  Every computation is in closed form, so no valid input
 fails numerically.  With ``--format svg``, ``predict`` and ``solve`` write
-their table from a forked child while this process draws the plot;
-validation still happens before any output is touched.  ``--delta``
-(``predict``, ``density`` and ``solve``) is checked once, against
-[MIN_DELTA, 0.5], before any command runs, so no grid has more than
-1 000 001 rows.
+their table from a forked child while this process draws the plot, and
+write the plot once the table is complete; a table the child did not
+finish is written again in this process.  Validation still happens
+before any output is touched.  ``--delta`` (``predict``, ``density`` and
+``solve``) is checked once, against [MIN_DELTA, 0.5], before any command
+runs, so no grid has more than 1 000 001 rows.
 """
 
 from __future__ import annotations
@@ -38,30 +39,29 @@ MIN_DELTA = 1e-6
 def load_samples(path: Path) -> SampleSet:
     """Read a two-column ``x,y`` CSV into a SampleSet, sorting by x.
 
-    An optional first line ``x,y`` is skipped; blank lines are ignored; a
-    UTF-8 byte-order mark, as spreadsheet programs write, is dropped.
+    An optional header ``x,y``, the first line that is not blank, is
+    skipped; blank lines are ignored; a UTF-8 byte-order mark, as
+    spreadsheet programs write, is dropped.
     Parse errors name the file and line number.  Duplicate abscissae are
     rejected here with both offending values spelled out.
     """
-    rows = []
     with open(path, "r", encoding="utf-8-sig") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if lineno == 1 and line.replace(" ", "").lower() == "x,y":
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ValueError(
-                    f"{path}:{lineno}: expected two comma-separated values, got {line!r}"
-                )
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                raise ValueError(
-                    f"{path}:{lineno}: could not parse numbers from {line!r}"
-                ) from None
+        lines = [(lineno, raw.strip()) for lineno, raw in enumerate(fh, start=1) if raw.strip()]
+    if lines and lines[0][1].replace(" ", "").lower() == "x,y":
+        del lines[0]
+    rows = []
+    for lineno, line in lines:
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise ValueError(
+                f"{path}:{lineno}: expected two comma-separated values, got {line!r}"
+            )
+        try:
+            rows.append((float(parts[0]), float(parts[1])))
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: could not parse numbers from {line!r}"
+            ) from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
     rows.sort(key=lambda r: r[0])
@@ -79,19 +79,15 @@ def _axis_grid(delta: float) -> np.ndarray:
 
 
 def _fork_table_writer(fh, table):
-    """Fork a child that writes the text blocks ``table`` to ``fh``; return its
-    pid and the read end of its error pipe, or None where no child can be started."""
-    fds = ()
+    """Fork a child that writes the text blocks ``table`` to ``fh`` and exits 0
+    once all of it is written; return its pid, or None where no child can be started."""
     try:
-        fds = os.pipe()
         with warnings.catch_warnings():
             # Python 3.12+ warns on a fork with threads, such as numpy's BLAS
             # worker; the child calls no BLAS, it only formats and writes
             warnings.simplefilter("ignore", DeprecationWarning)
             pid = os.fork()
     except OSError:
-        for fd in fds:
-            os.close(fd)
         return None
     if pid == 0:
         # the child writes the file, through its copy of fh; it never
@@ -100,12 +96,9 @@ def _fork_table_writer(fh, table):
             with fh:
                 fh.writelines(table)
             os._exit(0)
-        except Exception as exc:
-            os.write(fds[1], str(exc).encode())
         finally:
             os._exit(1)
-    os.close(fds[1])
-    return pid, fds[0]
+    return pid
 
 
 def _write_outputs(out: Path, table, plot) -> None:
@@ -114,31 +107,31 @@ def _write_outputs(out: Path, table, plot) -> None:
     ``table`` is formatted as it is written.  With a plot, a forked child
     writes the table while this process draws the plot: both passes are
     Python formatting, which holds the GIL.  The CSV is opened first, so
-    an unwritable ``out`` fails with nothing written.  A failure of the
-    child is raised here as OSError, once the plot is done or failed.
+    an unwritable ``out`` fails with nothing written.  The plot is written
+    once the child is reaped, so it replaces the whole table where its
+    path names the CSV.  A table the child did not finish, for whatever
+    reason, is written again here; a failure of that write is raised
+    with its own message, after the plot is written.
     """
-    plot_path = out.with_suffix(".svg")
-    child = None
+    pid = None
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            # where the plot's path is the CSV's (--out p.svg), the plot must
-            # replace the whole table, so the table is written first, here
-            same = os.path.exists(plot_path) and os.path.samefile(plot_path, out)
-            if plot is not None and hasattr(os, "fork") and not same:
+            if plot is not None and hasattr(os, "fork"):
                 # this process never writes to fh: its buffer is empty, so
                 # its close flushes nothing
-                child = _fork_table_writer(fh, table)
-            if child is None:
+                pid = _fork_table_writer(fh, table)
+            if pid is None:
                 fh.writelines(table)
-        if plot is not None:
-            plot_path.write_text(plot(), encoding="utf-8")
+        text = plot() if plot is not None else None
     finally:
-        if child is not None:
-            with os.fdopen(child[1], "rb") as pipe:
-                message = pipe.read().decode()
-            status = os.waitpid(child[0], 0)[1]
-            if status:
-                raise OSError(message or f"the table writer failed (wait status {status})")
+        failed = pid is not None and os.waitpid(pid, 0)[1] != 0
+    try:
+        if failed:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.writelines(table)
+    finally:
+        if text is not None:
+            out.with_suffix(".svg").write_text(text, encoding="utf-8")
 
 
 def cmd_predict(args: argparse.Namespace) -> int:

@@ -250,8 +250,8 @@ def discretized_solution(params: KernelParams, samples: SampleSet, delta: float,
     right and once right to left.  This costs O(N + M log N) time and
     O(N + M) memory; no M x N kernel block is formed.
     """
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta!r}")
+    if not 0.0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta!r}")
     xv = _as_unit("x", x)
     a = params.a
     xi, eta = samples.xi, samples.eta

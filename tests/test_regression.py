@@ -371,9 +371,10 @@ class TestDiscretizedSolution:
         )
         assert abs(discretized_solution(A1, samples, 0.01, x) - oracle) <= 1e-6
 
-    def test_rejects_bad_delta(self, samples):
+    @pytest.mark.parametrize("delta", [0.0, np.nan, np.inf])
+    def test_rejects_bad_delta(self, samples, delta):
         with pytest.raises(ValueError, match="delta"):
-            discretized_solution(A1, samples, 0.0, 0.5)
+            discretized_solution(A1, samples, delta, 0.5)
 
     @pytest.mark.parametrize("a", [0.0, 1e-12, 1.0, 10.0, 100.0, 1000.0, 1e6])
     @pytest.mark.parametrize("n", [1, 5, 50, 1000])
