@@ -73,9 +73,9 @@ def load_samples(path: Path) -> SampleSet:
 
 
 def _axis_grid(delta: float) -> np.ndarray:
-    """Endpoint-inclusive grid 0, delta, 2 delta, ..., 1 (clamped at 1)."""
+    """Endpoint-inclusive grid 0, delta, 2 delta, ..., ending at exactly 1."""
     m = math.ceil(1.0 / delta)
-    return np.minimum(np.arange(m + 1) * delta, 1.0)
+    return np.append(np.arange(m) * delta, 1.0)
 
 
 def _fork_table_writer(fh, table):

@@ -18,11 +18,6 @@ import numpy as np
 # for large a, so past it the norm underflows and H = G / L1 overflows
 MAX_COEFFICIENT = math.sqrt(sys.float_info.max)
 
-# coefficients below this are taken as 0: the a = 0 forms then differ from
-# the exact ones by O(a**2) < 1e-300, while the products a * s inside the
-# closed forms would round in the subnormal range
-TINY_COEFFICIENT = math.sqrt(sys.float_info.min)
-
 
 @dataclass(frozen=True)
 class KernelParams:
@@ -33,8 +28,6 @@ class KernelParams:
     a : float
         Nonnegative coefficient of the zeroth-order term, at most
         ``MAX_COEFFICIENT`` (about 1.34e154) so that a**2 is finite.
-        Values below ``TINY_COEFFICIENT`` (about 1.49e-154) are stored
-        as 0.0, whose forms are exact for them in double precision.
     """
 
     a: float
@@ -47,8 +40,6 @@ class KernelParams:
                 f"coefficient a must be nonnegative and at most {MAX_COEFFICIENT:.6g},"
                 f" so that a**2 is a finite double; got {self.a!r}"
             )
-        if self.a < TINY_COEFFICIENT:
-            object.__setattr__(self, "a", 0.0)
 
 
 def _as_unit(name: str, v) -> np.ndarray:

@@ -140,18 +140,24 @@ def _clamp_variances(raw: np.ndarray) -> tuple[np.ndarray, int]:
     return np.where(raw < 0.0, 0.0, raw), clamped
 
 
-def _bracket_weights(a: float, x: np.ndarray, lo: np.ndarray, hi: np.ndarray):
-    """Kriging weights of x on its bracketing sites lo <= x < hi.
+def _bracket(a: float, xi: np.ndarray, x):
+    """Kriging weights of x on the two sites bracketing it.
 
-    sinh(a (hi - x)) / sinh(a (hi - lo)) and its mirror, written as
-    exp(-a (x - lo)) S(hi - x) / S(hi - lo) with S = _scaled_sinh: no
-    factor overflows at large a, and S is the gap itself where 2 a gap
-    is below the epsilon, so tiny a gives linear interpolation, not 0/0.
+    The sites are ``xi`` padded with the ends 0 and 1, returned with the
+    index k of the bracket sites[k] <= x <= sites[k + 1] (x = 1 takes
+    the last one).  The weights are sinh(a (hi - x)) / sinh(a (hi - lo))
+    and its mirror, written as exp(-a (x - lo)) S(hi - x) / S(hi - lo)
+    with S = _scaled_sinh: no factor overflows at large a, and S is the
+    gap itself where 2 a gap is below the epsilon, so tiny a gives
+    linear interpolation, not 0/0.
     """
+    sites = np.concatenate(([0.0], xi, [1.0]))
+    k = np.searchsorted(xi, x, side="right")
+    lo, hi = sites[k], sites[k + 1]
     span = _scaled_sinh(a, hi - lo)
     w_lo = np.exp(-a * (x - lo)) * _scaled_sinh(a, hi - x) / span
     w_hi = np.exp(-a * (hi - x)) * _scaled_sinh(a, x - lo) / span
-    return w_lo, w_hi
+    return sites, k, w_lo, w_hi
 
 
 def _two_neighbour(params: KernelParams, samples: SampleSet, x, z):
@@ -163,18 +169,15 @@ def _two_neighbour(params: KernelParams, samples: SampleSet, x, z):
     whole predictive covariance, at O(1) per entry.
     """
     a = params.a
-    sites = np.concatenate(([0.0], samples.xi, [1.0]))
+    sites, k, w_lo, w_hi = _bracket(a, samples.xi, x)
     values = np.concatenate(([0.0], samples.eta, [0.0]))
     # G vanishes at the pinned ends, so any nonzero factors there give
     # them a zero term
     s_y, s_rest = (np.concatenate(([1.0], f, [1.0])) for f in _l1_factors(a, samples.xi))
-    right = np.searchsorted(sites, x, side="right")
-    left = right - 1
-    w_lo, w_hi = _bracket_weights(a, x, sites[left], sites[right])
-    mean = w_lo * values[left] + w_hi * values[right]
+    mean = w_lo * values[k] + w_hi * values[k + 1]
     explained = (
-        w_lo * _normalize(a, green_closed(params, z, sites[left]), s_y[left], s_rest[left])
-        + w_hi * _normalize(a, green_closed(params, z, sites[right]), s_y[right], s_rest[right])
+        w_lo * _normalize(a, green_closed(params, z, sites[k]), s_y[k], s_rest[k])
+        + w_hi * _normalize(a, green_closed(params, z, sites[k + 1]), s_y[k + 1], s_rest[k + 1])
     )
     return mean, explained
 
@@ -240,37 +243,30 @@ def discretized_solution(params: KernelParams, samples: SampleSet, delta: float,
     the boundary zeros of G exactly.  ``x`` may be a scalar or an array
     anywhere in [0, 1], in any order.
 
-    G(x, xi) = exp(-a (hi - lo)) S(lo) R(1 - hi), with S = _scaled_sinh
-    and R = _scaled_sinh_ratio, factors into a part in x and a part in
-    xi on each side of the diagonal.  So the sites at or left of x
-    contribute R(1 - x) exp(-a (x - xi_l)) P and those right of x
-    contribute S(x) exp(-a (xi_r - x)) Q, where xi_l <= x < xi_r are the
-    bracketing sites (0 and 1 at the ends).  P and Q are running sums
-    over the sites, damped by exp(-a gap) per step, taken once left to
-    right and once right to left.  This costs O(N + M log N) time and
-    O(N + M) memory; no M x N kernel block is formed.
+    Between two sites u solves -u'' + a^2 u = 0, so it is fixed there by
+    its values at the bracketing sites (0 at the ends), through the
+    kriging weights of :func:`predict`.  At a site, G(x, xi) =
+    exp(-a (hi - lo)) S(lo) R(1 - hi), with S = _scaled_sinh and
+    R = _scaled_sinh_ratio, gives R(1 - x) P from the sites left of it
+    and S(x) Q from those right of it: running sums damped by
+    exp(-a gap) per step, taken once left to right and once right to
+    left.  This costs O(N + M log N) time and O(N + M) memory.
     """
     if not 0.0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta!r}")
     xv = _as_unit("x", x)
     a = params.a
     xi, eta = samples.xi, samples.eta
+    s, r = _scaled_sinh(a, xi), _scaled_sinh_ratio(a, 1.0 - xi)
     decay = np.exp(-a * np.diff(xi)).tolist()
-    p = [0.0]
-    for d, v in zip([0.0] + decay, (eta * _scaled_sinh(a, xi)).tolist()):
+    # p[j + 1] sums the sites xi_0 .. xi_j damped to xi_j, q[N - 1 - j]
+    # the sites past xi_j damped to xi_{j + 1}
+    p, q = [0.0], [0.0]
+    for d, v in zip([0.0] + decay, (eta * s).tolist()):
         p.append(p[-1] * d + v)
-    q = [0.0]
-    from_right = (eta * _scaled_sinh_ratio(a, 1.0 - xi)).tolist()[::-1]
-    for d, v in zip([0.0] + decay[::-1], from_right):
+    for d, v in zip([0.0] + decay[::-1], (eta * r).tolist()[::-1]):
         q.append(q[-1] * d + v)
-    # p[k] sums the sites xi_0 .. xi_{k-1}, q[k] the sites xi_k .. xi_{N-1}
-    p = np.asarray(p)
-    q = np.asarray(q[::-1])
-    k = np.searchsorted(xi, xv, side="right")
-    sites = np.concatenate(([0.0], xi, [1.0]))
-    lo, hi = sites[k], sites[k + 1]
-    out = delta * (
-        np.exp(-a * (xv - lo)) * _scaled_sinh_ratio(a, 1.0 - xv) * p[k]
-        + np.exp(-a * (hi - xv)) * _scaled_sinh(a, xv) * q[k]
-    )
+    u = np.concatenate(([0.0], r * p[1:] + np.append(decay, 0.0) * s * q[-2::-1], [0.0]))
+    _, k, w_lo, w_hi = _bracket(a, xi, xv)
+    out = delta * (w_lo * u[k] + w_hi * u[k + 1])
     return out if np.ndim(x) else float(out)

@@ -57,9 +57,11 @@ def _document(body: str, x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> 
 def band_plot(x, mean, lo, hi, data_x, data_y) -> str:
     """Shaded band from ``lo`` to ``hi``, mean polyline, data markers (float arrays).
 
-    The band polygon is emitted before the mean stroke so the line stays
-    visible on top of the fill.
+    Points are drawn in stable x order, and the band polygon before the
+    mean stroke so the line stays visible on top of the fill.
     """
+    order = np.argsort(x, kind="stable")
+    x, mean, lo, hi = x[order], mean[order], lo[order], hi[order]
     x_lo, x_hi, y_lo, y_hi = _extents(
         np.concatenate([x, data_x]), np.concatenate([lo, hi, data_y])
     )

@@ -6,6 +6,7 @@ import importlib
 import inspect
 import os
 import pkgutil
+import shlex
 import signal
 import subprocess
 import sys
@@ -154,6 +155,17 @@ class TestPredictCommand:
         circles = [c for c in children if c.tag == f"{SVG_NS}circle"]
         assert len(circles) == 5
 
+        # unsorted queries: the table keeps their order, the plot is drawn
+        # in x order, so the mean line and the band do not backtrack
+        rc = cli.main(["predict", "--data", str(data_file), "--a", "1", "--out", str(out),
+                       "--queries", "0.4,0.55,0.1", "--format", "svg"])
+        assert rc == 0
+        assert read_csv_rows(out)[:, 0].tolist() == [0.4, 0.55, 0.1]
+        root = ET.fromstring(svg_path.read_text(encoding="utf-8"))
+        band, mean = ([float(p.split(",")[0]) for p in el.get("points").split()] for el in root[:2])
+        assert mean == [0.1, 0.4, 0.55]
+        assert band == [0.1, 0.4, 0.55, 0.55, 0.4, 0.1]
+
     def test_deterministic_output(self, data_file, tmp_path):
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
@@ -219,6 +231,22 @@ class TestSolveCommand:
                        "--format", "svg"])
         assert rc == 0
         assert (tmp_path / "sol.svg").exists()
+
+    # steps 1/k whose last multiple k * (1/k) rounds below 1
+    @pytest.mark.parametrize("delta", [1 / 161, 1 / 187, 1 / 561], ids=["1/161", "1/187", "1/561"])
+    def test_grid_ends_at_exactly_one(self, data_file, tmp_path, delta):
+        assert (len(cli._axis_grid(delta)) - 1) * delta < 1.0
+        out = tmp_path / "sol.csv"
+        rc = cli.main(["solve", "--data", str(data_file), "--a", "1", "--delta", repr(delta),
+                       "--out", str(out)])
+        assert rc == 0
+        assert out.read_text(encoding="utf-8").splitlines()[-1] == "1,0"
+        curve = tmp_path / "curve.svg"
+        rc = cli.main(["density", "--a", "1", "--y", "0.5", "--delta", repr(delta),
+                       "--format", "svg", "--out", str(curve)])
+        assert rc == 0
+        last = ET.fromstring(curve.read_text(encoding="utf-8"))[0].get("points").split()[-1]
+        assert [float(v) for v in last.split(",")] == [1.0, 0.0]
 
 
 
@@ -652,6 +680,35 @@ class TestOutputFormat:
         assert "-0," in band and ",-0 " in band
         self.assert_same((tmp_path / "pred.svg").read_bytes(), band)
         self.assert_same((tmp_path / "sol.svg").read_bytes(), svg.curve_plot(v, v[::-1]))
+
+
+def test_readme_examples_run(data_file, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    api = readme.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(api, namespace)
+    for expr, prefix in (("pred.mean[0]", "2.4875"), ("pred.variance[0]", "0.3852"),
+                         ("density_stats(params, 0.5).std", "0.2028"),
+                         ("normalized_green(params, 0.1, 0.3)", "0.6778"),
+                         ("normalized_green(params, 0.3, 0.1)", "1.5661")):
+        assert f"{prefix}..." in api
+        assert repr(float(eval(expr, namespace))).startswith(prefix), expr
+
+    commands = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in commands.replace("\\\n", " ").splitlines()
+             if line.startswith("greenreg ")]
+    assert len(lines) == 6
+    # the commands read d.csv, the README data of the data_file fixture
+    monkeypatch.chdir(data_file.parent)
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert cli.main(argv) == 0, line
+        assert capsys.readouterr().err == ""
+        if "--out" in argv:
+            out = Path(argv[argv.index("--out") + 1])
+            assert out.stat().st_size > 0, line
+            if argv[0] in ("predict", "solve") and "svg" in argv:
+                assert out.with_suffix(".svg").stat().st_size > 0, line
 
 
 def test_flags_of_each_command():

@@ -1,6 +1,9 @@
 """Closed-form kernel, series cross-check, normalization, reproducing relation."""
 
+import dataclasses
 import hashlib
+import math
+import sys
 
 import mpmath
 import numpy as np
@@ -9,14 +12,15 @@ from numpy.testing import assert_allclose
 
 import reference
 import refvals
+from greenreg.density import density_stats
 from greenreg.kernel import (
     MAX_COEFFICIENT,
-    TINY_COEFFICIENT,
     KernelParams,
     green_closed,
     l1_norm,
     normalized_green,
 )
+from greenreg.regression import QueryGrid, SampleSet, predict
 
 A1 = KernelParams(a=1.0)
 A10 = KernelParams(a=10.0)
@@ -34,16 +38,23 @@ class TestKernelParams:
         with pytest.raises(ValueError, match="a\\*\\*2"):
             KernelParams(a=np.nextafter(MAX_COEFFICIENT, np.inf))
 
-    @pytest.mark.parametrize("a", [5e-324, 1e-300, 1e-200, -0.0])
+    # below sqrt(float min) the products a * s in the closed forms round
+    # in the subnormal range; their epsilon guards give the a = 0 values
+    @pytest.mark.parametrize(
+        "a", [5e-324, 1e-300, 1e-200, -0.0, float(np.nextafter(math.sqrt(sys.float_info.min), 0.0))]
+    )
     def test_tiny_coefficient_is_zero(self, a):
-        assert KernelParams(a=a).a == 0.0
-        assert np.copysign(1.0, KernelParams(a=a).a) == 1.0
-        assert green_closed(KernelParams(a=a), 0.3, 0.5) == green_closed(KernelParams(a=0.0), 0.3, 0.5)
-        assert green_closed(KernelParams(a=a), 0.3, 0.5) == 0.15
-
-    def test_tiny_coefficient_bound_is_kept(self):
-        assert KernelParams(a=TINY_COEFFICIENT).a == TINY_COEFFICIENT
-        assert KernelParams(a=np.nextafter(TINY_COEFFICIENT, 0.0)).a == 0.0
+        tiny, zero = KernelParams(a=a), KernelParams(a=0.0)
+        assert green_closed(tiny, 0.3, 0.5) == green_closed(zero, 0.3, 0.5) == 0.15
+        samples = SampleSet(xi=[1e-300, 0.1, 0.3, 0.5, 0.9], eta=[-1.0, 1.0, 2.0, 3.0, 5.0])
+        grid = QueryGrid(x_star=[5e-324, 1e-200, 0.05, 0.4, 0.7, 1.0 - 1e-16])
+        want, got = predict(zero, samples, grid), predict(tiny, samples, grid)
+        for name in ("mean", "variance", "std", "band_lo", "band_hi"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        for y in (1e-300, 0.3, 0.5, 1.0 - 1e-16):
+            assert np.array(dataclasses.astuple(density_stats(tiny, y))).tobytes() == (
+                np.array(dataclasses.astuple(density_stats(zero, y))).tobytes()
+            )
 
 
 class TestGreenClosed:

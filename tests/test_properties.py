@@ -4,10 +4,11 @@
 (at most 60 of them), and the queries hold every site, random interior
 points and points within 1e-9 of either end.  The dense block formulas
 of ``reference`` are the oracle for the two-neighbour predictor.  Below
-a = 1e-100 the predictor has a second oracle, its own a = 0 output,
-which holds down to subnormal sites and queries where the dense
-reference keeps no digits.  The CLI properties cover the data-file
-round trip and the rule that a failed run writes nothing.
+a = 1e-100, down to the least subnormal, the predictor and the
+superposition scan have a second oracle, their own a = 0 output, which
+holds down to subnormal sites and queries where the dense reference
+keeps no digits.  The CLI properties cover the data-file round trip and
+the rule that a failed run writes nothing.
 """
 
 import tempfile
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 
 import reference
 from greenreg import cli
-from greenreg.kernel import MAX_COEFFICIENT, TINY_COEFFICIENT, KernelParams, green_closed
+from greenreg.kernel import MAX_COEFFICIENT, KernelParams, green_closed
 from greenreg.regression import (
     MIN_ABSCISSA_GAP,
     QueryGrid,
@@ -127,7 +128,7 @@ unit_abscissae = st.one_of(
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(
-    a=st.floats(-154.0, -100.0).map(lambda e: max(10.0**e, TINY_COEFFICIENT)),
+    a=st.floats(-324.0, -100.0).map(lambda e: max(10.0**e, 5e-324)),
     xi=st.lists(unit_abscissae, min_size=1, max_size=12).map(_separated),
     x=st.lists(unit_abscissae, min_size=1, max_size=12),
     data=st.data(),
@@ -143,6 +144,10 @@ def test_tiny_coefficient_predicts_the_zero_coefficient_to_the_bit(a, xi, x, dat
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     assert predictive_covariance(tiny, s, grid).tobytes() == (
         predictive_covariance(zero, s, grid).tobytes()
+    )
+    xs = np.concatenate(([0.0, 1.0], grid.x_star))
+    assert discretized_solution(tiny, s, 1e-3, xs).tobytes() == (
+        discretized_solution(zero, s, 1e-3, xs).tobytes()
     )
 
 
