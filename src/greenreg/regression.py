@@ -39,6 +39,11 @@ MIN_ABSCISSA_GAP = 1e-9
 VARIANCE_CLAMP_TOLERANCE = 1e-9
 
 
+def _axis_grid(delta: float) -> np.ndarray:
+    """Endpoint-inclusive grid 0, delta, 2 delta, ..., ending at exactly 1."""
+    return np.append(np.arange(math.ceil(1.0 / delta)) * delta, 1.0)
+
+
 @dataclass(frozen=True, eq=False)
 class SampleSet:
     """Observed data: abscissae ``xi`` with ordinates ``eta``.
@@ -92,16 +97,16 @@ class QueryGrid:
 
     @classmethod
     def uniform(cls, delta: float = 0.01) -> "QueryGrid":
-        """Interior grid i * delta for i = 1 .. ceil(1/delta) - 1.
+        """Interior of ``_axis_grid(delta)``: i * delta for i = 1 .. ceil(1/delta) - 1.
 
         Endpoints are excluded: the normalized kernel is undefined there.
         """
         if not delta > 0.0:
             raise ValueError(f"delta must be positive, got {delta!r}")
-        m = math.ceil(1.0 / delta)
-        if m < 2:
+        x_star = _axis_grid(delta)[1:-1]
+        if x_star.size == 0:
             raise ValueError(f"delta {delta!r} leaves no interior grid points")
-        return cls(x_star=np.arange(1, m) * delta)
+        return cls(x_star=x_star)
 
     def __len__(self) -> int:
         return self.x_star.size
@@ -161,12 +166,12 @@ def _bracket(a: float, xi: np.ndarray, x):
 
 
 def _two_neighbour(params: KernelParams, samples: SampleSet, x, z):
-    """Kriging mean at x and the explained term sum_k w_k(x) H(z, xi_k).
+    """Kriging mean at x and the posterior H(x, z) - sum_k w_k(x) H(z, xi_k).
 
     The sum runs over the two sites bracketing x, an end counting as a
     site of value 0.  ``x`` and ``z`` broadcast against each other: a
-    column of queries against a row gives the explained part of the
-    whole predictive covariance, at O(1) per entry.
+    column of queries against a row gives the whole predictive
+    covariance, at O(1) per entry.
     """
     a = params.a
     sites, k, w_lo, w_hi = _bracket(a, samples.xi, x)
@@ -179,7 +184,7 @@ def _two_neighbour(params: KernelParams, samples: SampleSet, x, z):
         w_lo * _normalize(a, green_closed(params, z, sites[k]), s_y[k], s_rest[k])
         + w_hi * _normalize(a, green_closed(params, z, sites[k + 1]), s_y[k + 1], s_rest[k + 1])
     )
-    return mean, explained
+    return mean, normalized_green(params, x, z) - explained
 
 
 def predict(params: KernelParams, samples: SampleSet, grid: QueryGrid) -> Prediction:
@@ -204,8 +209,8 @@ def predict(params: KernelParams, samples: SampleSet, grid: QueryGrid) -> Predic
     ``VARIANCE_CLAMP_TOLERANCE``.
     """
     x = grid.x_star
-    mean, explained = _two_neighbour(params, samples, x, x)
-    variance, clamped_count = _clamp_variances(normalized_green(params, x, x) - explained)
+    mean, posterior = _two_neighbour(params, samples, x, x)
+    variance, clamped_count = _clamp_variances(posterior)
     std = np.sqrt(variance)
     return Prediction(
         x_star=x,
@@ -231,8 +236,7 @@ def predictive_covariance(
     :func:`predict`, to the bit.
     """
     x = grid.x_star
-    _, explained = _two_neighbour(params, samples, x[:, None], x[None, :])
-    return normalized_green(params, x[:, None], x[None, :]) - explained
+    return _two_neighbour(params, samples, x[:, None], x[None, :])[1]
 
 
 def discretized_solution(params: KernelParams, samples: SampleSet, delta: float, x):

@@ -44,14 +44,22 @@ def _poly_points(xs: np.ndarray, ys: np.ndarray) -> str:
     return " ".join(_format_rows("%.6g,%.6g", (xs, -ys), " "))
 
 
-def _document(body: str, x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> str:
-    view = "%.6g %.6g %.6g %.6g" % (x_lo, -y_hi, x_hi - x_lo, y_hi - y_lo)
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}"'
-        f' viewBox="{view}" preserveAspectRatio="none">\n'
-        f"{body}"
-        "</svg>\n"
+def _document(parts, x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> str:
+    header = (
+        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d"'
+        ' viewBox="%.6g %.6g %.6g %.6g" preserveAspectRatio="none">\n'
+        % (WIDTH, HEIGHT, x_lo, -y_hi, x_hi - x_lo, y_hi - y_lo)
     )
+    return "".join([header, *parts, "</svg>\n"])
+
+
+def _polyline(xs: np.ndarray, ys: np.ndarray, y_lo: float, y_hi: float) -> list[str]:
+    """Parts of the black stroke through ``(xs, ys)``, 1/200 of the y extent wide."""
+    return [
+        '<polyline points="',
+        _poly_points(xs, ys),
+        '" fill="none" stroke="#000000" stroke-width="%.6g"/>\n' % ((y_hi - y_lo) / 200.0),
+    ]
 
 
 def band_plot(x, mean, lo, hi, data_x, data_y) -> str:
@@ -65,30 +73,18 @@ def band_plot(x, mean, lo, hi, data_x, data_y) -> str:
     x_lo, x_hi, y_lo, y_hi = _extents(
         np.concatenate([x, data_x]), np.concatenate([lo, hi, data_y])
     )
-    band = _poly_points(np.concatenate([x, x[::-1]]), np.concatenate([hi, lo[::-1]]))
-    stroke = "%.6g" % ((y_hi - y_lo) / 200.0)
-    radius = np.full(len(data_x), (x_hi - x_lo) / 120.0)
     parts = [
-        f'<polygon points="{band}" fill="#c8c8c8" stroke="none"/>',
-        f'<polyline points="{_poly_points(x, mean)}" fill="none"'
-        f' stroke="#000000" stroke-width="{stroke}"/>',
+        '<polygon points="',
+        _poly_points(np.concatenate([x, x[::-1]]), np.concatenate([hi, lo[::-1]])),
+        '" fill="#c8c8c8" stroke="none"/>\n',
+        *_polyline(x, mean, y_lo, y_hi),
+        *_format_rows('<circle cx="%.6g" cy="%.6g" r="%.6g" fill="#000000"/>\n',
+                      (data_x, -data_y, np.full(len(data_x), (x_hi - x_lo) / 120.0))),
     ]
-    parts.extend(
-        _format_rows(
-            '<circle cx="%.6g" cy="%.6g" r="%.6g" fill="#000000"/>',
-            (data_x, -data_y, radius),
-            "\n",
-        )
-    )
-    return _document("\n".join(parts) + "\n", x_lo, x_hi, y_lo, y_hi)
+    return _document(parts, x_lo, x_hi, y_lo, y_hi)
 
 
 def curve_plot(x, y) -> str:
     """Single polyline through the points ``(x, y)``, two float arrays."""
     x_lo, x_hi, y_lo, y_hi = _extents(x, y)
-    stroke = "%.6g" % ((y_hi - y_lo) / 200.0)
-    body = (
-        f'<polyline points="{_poly_points(x, y)}" fill="none"'
-        f' stroke="#000000" stroke-width="{stroke}"/>\n'
-    )
-    return _document(body, x_lo, x_hi, y_lo, y_hi)
+    return _document(_polyline(x, y, y_lo, y_hi), x_lo, x_hi, y_lo, y_hi)

@@ -10,6 +10,7 @@ import shlex
 import signal
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -166,6 +167,21 @@ class TestPredictCommand:
         assert mean == [0.1, 0.4, 0.55]
         assert band == [0.1, 0.4, 0.55, 0.55, 0.4, 0.1]
 
+    def test_band_plot_peak_memory(self):
+        # the plot holds its two point lists and the document it joins from
+        # them, not further copies of either
+        samples = SampleSet(xi=refvals.XI, eta=refvals.ETA)
+        pred = predict(KernelParams(a=1.0), samples, QueryGrid.uniform(1e-5))
+        assert len(pred.x_star) == 99_999
+        tracemalloc.start()
+        try:
+            text = svg.band_plot(pred.x_star, pred.mean, pred.band_lo, pred.band_hi,
+                                 samples.xi, samples.eta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.75 * len(text)
+
     def test_deterministic_output(self, data_file, tmp_path):
         out_a = tmp_path / "a.csv"
         out_b = tmp_path / "b.csv"
@@ -247,6 +263,18 @@ class TestSolveCommand:
         assert rc == 0
         last = ET.fromstring(curve.read_text(encoding="utf-8"))[0].get("points").split()[-1]
         assert [float(v) for v in last.split(",")] == [1.0, 0.0]
+
+    @pytest.mark.parametrize("delta", [0.5, 0.3, 0.01, 1 / 161, 2e-4])
+    def test_predict_queries_the_interior_of_the_solve_grid(self, data_file, tmp_path, delta):
+        columns = {}
+        for command in ("predict", "solve"):
+            out = tmp_path / f"{command}.csv"
+            rc = cli.main([command, "--data", str(data_file), "--a", "1", "--delta", repr(delta),
+                           "--out", str(out)])
+            assert rc == 0
+            lines = out.read_text(encoding="utf-8").splitlines()[1:]
+            columns[command] = [line.split(",")[0] for line in lines if not line.startswith("#")]
+        assert columns["predict"] == columns["solve"][1:-1]
 
 
 

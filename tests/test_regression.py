@@ -14,12 +14,12 @@ from numpy.testing import assert_allclose
 import reference
 import refvals
 from greenreg import cli
-from greenreg.cli import _axis_grid
 from greenreg.kernel import KernelParams, green_closed, normalized_green
 from greenreg.regression import (
     MIN_ABSCISSA_GAP,
     QueryGrid,
     SampleSet,
+    _axis_grid,
     _clamp_variances,
     build_cov_matrix,
     discretized_solution,
