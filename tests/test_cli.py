@@ -770,13 +770,19 @@ def test_names_the_benchmark_reads():
     assert isinstance(regression.MIN_ABSCISSA_GAP, float)
 
 
-def run_python(*args, cwd=None):
-    """Run this interpreter on ``args`` with the package's source first on the path."""
+def run_python(*args, cwd=None, **popen):
+    """Run this interpreter on ``args`` with the package's source first on the path.
+
+    ``PYTHONUNBUFFERED`` is dropped, so the child's stdout is block-buffered
+    where it is not a terminal, as in a user's run; ``popen`` may redirect it.
+    """
     src = str(Path(greenreg.__file__).resolve().parents[1])
     env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True,
-                          text=True)
+    popen.setdefault("stdout", subprocess.PIPE)
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, stderr=subprocess.PIPE,
+                          text=True, **popen)
 
 
 def test_cli_import_loads_no_scipy():
@@ -810,17 +816,108 @@ else:
     assert proc.returncode == 0, proc.stderr
 
 
+# main run with the interpreter's teardown, which "-m greenreg.cli" skips
+MAIN_WITH_TEARDOWN = "import sys; from greenreg.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
 def test_commands_run_warnings_clean(data_file, tmp_path):
     # -X dev reports unclosed files and descriptors, and with -W error any
-    # warning, such as Python 3.12's about forking with threads, is an error
+    # warning, such as Python 3.12's about forking with threads, is an error.
+    # A file still referenced at exit, from a module global or a cycle, is
+    # only reported by the teardown, so main also runs with it
     for argv in (
         ["predict", "--data", str(data_file), "--a", "1", "--out", "p.csv", "--format", "svg"],
         ["solve", "--data", str(data_file), "--a", "1", "--out", "s.csv", "--format", "svg"],
         ["matrix", "--data", str(data_file), "--a", "1"],
         ["density", "--a", "1", "--y", "0.5", "--format", "svg", "--out", "c.svg"],
     ):
-        proc = run_python("-X", "dev", "-W", "error", "-m", "greenreg.cli", *argv, cwd=tmp_path)
-        assert (proc.returncode, proc.stderr) == (0, ""), argv
+        for entry in (["-m", "greenreg.cli"], ["-c", MAIN_WITH_TEARDOWN]):
+            proc = run_python("-X", "dev", "-W", "error", *entry, *argv, cwd=tmp_path)
+            assert (proc.returncode, proc.stderr) == (0, ""), (entry, argv)
+
+
+def test_console_script_is_run():
+    # the installed script and "python -m greenreg.cli" end the same way
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["scripts"]
+    assert scripts == {"greenreg": "greenreg.cli:run"}
+    module, name = scripts["greenreg"].split(":")
+    assert getattr(importlib.import_module(module), name) is cli.run
+
+
+class TestProcessExit:
+    """``python -m greenreg.cli`` ends by ``os._exit`` once stdout and stderr are flushed."""
+
+    @staticmethod
+    def expected_error(code):
+        return f"error: [Errno {code}] {os.strerror(code)}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stdout_exits_one(self):
+        with open("/dev/full", "w") as full:
+            proc = run_python("-m", "greenreg.cli", "density", "--a", "1", "--y", "0.3",
+                              stdout=full)
+        assert (proc.returncode, proc.stderr) == (1, self.expected_error(errno.ENOSPC))
+
+    def test_closed_pipe_exits_one(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_python("-m", "greenreg.cli", "density", "--a", "1", "--y", "0.3",
+                              stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, self.expected_error(errno.EPIPE))
+
+    def test_buffered_stdout_is_complete(self, tmp_path, capsys):
+        rng = np.random.default_rng(23)
+        xi = rng.choice(np.arange(1, 1000), 300, replace=False) / 1000
+        data = tmp_path / "sites.csv"
+        eta = rng.normal(size=300)
+        data.write_text("".join(f"{x!r},{y!r}\n" for x, y in zip(xi.tolist(), eta.tolist())),
+                        encoding="utf-8")
+        sizes = {}
+        for argv in (["matrix", "--data", str(data), "--a", "1"],
+                     ["density", "--a", "1", "--y", "0.3"]):
+            assert cli.main(argv) == 0
+            want = capsys.readouterr().out
+            proc = run_python("-m", "greenreg.cli", *argv)
+            assert (proc.returncode, proc.stderr) == (0, ""), argv
+            assert proc.stdout == want, argv
+            sizes[argv[0]] = len(want)
+        # the matrix fills the 8 KiB stdout buffer many times over, the summary not once
+        assert sizes["density"] < 8192 < sizes["matrix"] / 10
+
+    def test_failed_command_keeps_its_output(self, tmp_path, capsys):
+        for argv in (["density", "--a", "1", "--y", "0.3", "--delta", "0.7"],
+                     # the summary is printed before the curve's write fails
+                     ["density", "--a", "1", "--y", "0.3", "--format", "svg",
+                      "--out", str(tmp_path / "missing" / "c.svg")]):
+            assert cli.main(argv) == 1
+            want = capsys.readouterr()
+            assert want.err.startswith("error: ") and want.err.count("\n") == 1
+            proc = run_python("-m", "greenreg.cli", *argv)
+            assert (proc.returncode, proc.stdout, proc.stderr) == (1, want.out, want.err), argv
+        assert want.out.startswith("mean=")
+
+    def test_commands_run_without_stdout(self, data_file, tmp_path):
+        # with descriptor 1 closed, sys.stdout is None: predict needs no stdout,
+        # and density's summary goes nowhere, as print sends it
+        table = ["predict", "--data", str(data_file), "--a", "1", "--out"]
+        for argv in (table + ["p.csv"], ["density", "--a", "1", "--y", "0.3"]):
+            proc = run_python("-m", "greenreg.cli", *argv, cwd=tmp_path, stdout=None,
+                              preexec_fn=lambda: os.close(1))
+            assert (proc.returncode, proc.stderr) == (0, ""), argv
+        assert cli.main(table + [str(tmp_path / "q.csv")]) == 0
+        assert (tmp_path / "p.csv").read_bytes() == (tmp_path / "q.csv").read_bytes()
+
+    def test_help_exits_through_argparse(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(["predict", "--help"])
+        assert excinfo.value.code == 0
+        proc = run_python("-m", "greenreg.cli", "predict", "--help")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
 
 
 def test_every_entry_point_runs_with_scipy_blocked(data_file, tmp_path):
