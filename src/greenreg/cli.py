@@ -287,15 +287,24 @@ def run() -> None:
     ``main`` returns; once stdout and stderr are flushed, ``os._exit``
     skips the interpreter's teardown, its module clean-up and last garbage
     collections.  A ``SystemExit`` from argparse (``--help``, usage
-    errors) and an unexpected exception end the process as usual.
+    errors) gives its status; a failed flush of its text exits 1 with one
+    ``error:`` line.  An unexpected exception ends the process as usual.
     """
-    status = main()
     try:
-        # main flushed stdout unless it failed: a flush that raises here
-        # follows a reported error, and the status is already 1
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:
-                stream.flush()
+        status = main()
+    except SystemExit as exc:
+        status = exc.code or 0
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        # a failed flush that main reported fails here again on the same text
+        if not status:
+            print(f"error: {exc}", file=sys.stderr)
+            status = 1
+    try:
+        if sys.stderr is not None:
+            sys.stderr.flush()
     finally:
         os._exit(status)
 

@@ -44,14 +44,14 @@ class KernelParams:
 
 def _as_unit(name: str, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if v.size and (np.any(v < 0.0) or np.any(v > 1.0) or not np.all(np.isfinite(v))):
+    if not np.all((v >= 0.0) & (v <= 1.0)):
         raise ValueError(f"{name} must lie in [0, 1]")
     return v
 
 
 def _as_open_unit(name: str, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if v.size and (np.any(v <= 0.0) or np.any(v >= 1.0) or not np.all(np.isfinite(v))):
+    if not np.all((v > 0.0) & (v < 1.0)):
         raise ValueError(f"{name} must lie strictly inside (0, 1)")
     return v
 
@@ -79,8 +79,15 @@ def _scaled_sinh_ratio(a: float, s):
     return np.expm1(-2.0 * a * s) / np.expm1(-2.0 * a)
 
 
+def _green(a: float, x, y):
+    """``green_closed`` on float arrays already known to lie in [0, 1]; checks nothing."""
+    lo = np.minimum(x, y)
+    hi = np.maximum(x, y)
+    return np.exp(-a * (hi - lo)) * _scaled_sinh(a, lo) * _scaled_sinh_ratio(a, 1.0 - hi)
+
+
 def green_closed(params: KernelParams, x, y):
-    """Green's function G(x, y) in closed form.
+    """Green's function G(x, y) in closed form; checks once that x and y lie in [0, 1].
 
     For a > 0 this is sinh(a min(x,y)) sinh(a (1 - max(x,y))) / (a sinh a);
     the a = 0 limit is min(x,y) (1 - max(x,y)).  It is evaluated as
@@ -91,12 +98,7 @@ def green_closed(params: KernelParams, x, y):
     exactly zero whenever either argument touches the boundary.  Inputs
     broadcast; scalars in, scalar out.
     """
-    x = _as_unit("x", x)
-    y = _as_unit("y", y)
-    lo = np.minimum(x, y)
-    hi = np.maximum(x, y)
-    a = params.a
-    g = np.exp(-a * (hi - lo)) * _scaled_sinh(a, lo) * _scaled_sinh_ratio(a, 1.0 - hi)
+    g = _green(params.a, _as_unit("x", x), _as_unit("y", y))
     return g if g.ndim else float(g)
 
 
@@ -136,7 +138,7 @@ def l1_norm(params: KernelParams, y):
 
 
 def normalized_green(params: KernelParams, x, y):
-    """Normalized kernel H(x, y) = G(x, y) / l1_norm(y).
+    """Normalized kernel H(x, y) = G(x, y) / l1_norm(y); checks once x in [0, 1], y in (0, 1).
 
     For each fixed y in (0, 1) the section x -> H(x, y) is a probability
     density on [0, 1].  Unlike G itself, H is not symmetric: the
@@ -145,6 +147,6 @@ def normalized_green(params: KernelParams, x, y):
     finite where the norm underflows.
     """
     y = _as_open_unit("y", y)
-    out = _normalize(params.a, green_closed(params, x, y), *_l1_factors(params.a, y))
+    out = _normalize(params.a, _green(params.a, _as_unit("x", x), y), *_l1_factors(params.a, y))
     return out if np.ndim(out) else float(out)
 

@@ -20,12 +20,11 @@ from .kernel import (
     KernelParams,
     _as_open_unit,
     _as_unit,
+    _green,
     _l1_factors,
     _normalize,
     _scaled_sinh,
     _scaled_sinh_ratio,
-    green_closed,
-    normalized_green,
 )
 
 # between two sites the predictive variance H(x, x) - sum w H(x, xi) is a
@@ -136,7 +135,8 @@ def build_cov_matrix(params: KernelParams, samples: SampleSet) -> np.ndarray:
     Not symmetric in general: the normalization acts on the second
     argument only.
     """
-    return normalized_green(params, samples.xi[:, None], samples.xi[None, :])
+    xi = samples.xi
+    return _normalize(params.a, _green(params.a, xi[:, None], xi), *_l1_factors(params.a, xi))
 
 
 def _clamp_variances(raw: np.ndarray) -> tuple[np.ndarray, int]:
@@ -165,7 +165,7 @@ def _bracket(a: float, xi: np.ndarray, x):
     return sites, k, w_lo, w_hi
 
 
-def _two_neighbour(params: KernelParams, samples: SampleSet, x, z):
+def _two_neighbour(a: float, samples: SampleSet, x, z):
     """Kriging mean at x and the posterior H(x, z) - sum_k w_k(x) H(z, xi_k).
 
     The sum runs over the two sites bracketing x, an end counting as a
@@ -173,7 +173,6 @@ def _two_neighbour(params: KernelParams, samples: SampleSet, x, z):
     column of queries against a row gives the whole predictive
     covariance, at O(1) per entry.
     """
-    a = params.a
     sites, k, w_lo, w_hi = _bracket(a, samples.xi, x)
     values = np.concatenate(([0.0], samples.eta, [0.0]))
     # G vanishes at the pinned ends, so any nonzero factors there give
@@ -181,10 +180,10 @@ def _two_neighbour(params: KernelParams, samples: SampleSet, x, z):
     s_y, s_rest = (np.concatenate(([1.0], f, [1.0])) for f in _l1_factors(a, samples.xi))
     mean = w_lo * values[k] + w_hi * values[k + 1]
     explained = (
-        w_lo * _normalize(a, green_closed(params, z, sites[k]), s_y[k], s_rest[k])
-        + w_hi * _normalize(a, green_closed(params, z, sites[k + 1]), s_y[k + 1], s_rest[k + 1])
+        w_lo * _normalize(a, _green(a, z, sites[k]), s_y[k], s_rest[k])
+        + w_hi * _normalize(a, _green(a, z, sites[k + 1]), s_y[k + 1], s_rest[k + 1])
     )
-    return mean, normalized_green(params, x, z) - explained
+    return mean, _normalize(a, _green(a, x, z), *_l1_factors(a, z)) - explained
 
 
 def predict(params: KernelParams, samples: SampleSet, grid: QueryGrid) -> Prediction:
@@ -209,7 +208,7 @@ def predict(params: KernelParams, samples: SampleSet, grid: QueryGrid) -> Predic
     ``VARIANCE_CLAMP_TOLERANCE``.
     """
     x = grid.x_star
-    mean, posterior = _two_neighbour(params, samples, x, x)
+    mean, posterior = _two_neighbour(params.a, samples, x, x)
     variance, clamped_count = _clamp_variances(posterior)
     std = np.sqrt(variance)
     return Prediction(
@@ -235,8 +234,7 @@ def predictive_covariance(
     since H is not.  Its diagonal is the raw (pre-clamp) variance of
     :func:`predict`, to the bit.
     """
-    x = grid.x_star
-    return _two_neighbour(params, samples, x[:, None], x[None, :])[1]
+    return _two_neighbour(params.a, samples, grid.x_star[:, None], grid.x_star[None, :])[1]
 
 
 def discretized_solution(params: KernelParams, samples: SampleSet, delta: float, x):

@@ -919,6 +919,32 @@ class TestProcessExit:
         proc = run_python("-m", "greenreg.cli", "predict", "--help")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, capsys.readouterr().out, "")
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("argv", [["--help"], ["predict", "--help"]],
+                             ids=["main", "predict"])
+    def test_help_to_full_stdout_exits_one(self, argv):
+        # argparse leaves main through SystemExit, before main's own flush
+        with open("/dev/full", "w") as full:
+            proc = run_python("-m", "greenreg.cli", *argv, stdout=full)
+        assert (proc.returncode, proc.stderr) == (1, self.expected_error(errno.ENOSPC))
+
+    def test_help_to_closed_pipe_exits_one(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = run_python("-m", "greenreg.cli", "--help", stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, self.expected_error(errno.EPIPE))
+
+    def test_usage_error_exits_one(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["predict"])
+        want = capsys.readouterr().err
+        assert want.startswith("usage: greenreg predict")
+        proc = run_python("-m", "greenreg.cli", "predict")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", want)
+
 
 def test_every_entry_point_runs_with_scipy_blocked(data_file, tmp_path):
     # scipy is not a dependency: every computing name of the public API

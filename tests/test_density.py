@@ -142,7 +142,7 @@ def test_sharp_sections_near_the_ends(a, y):
     assert abs(stats.std - std) <= 1e-8
 
 
-@pytest.mark.parametrize("y", [0.0, 1.0])
+@pytest.mark.parametrize("y", [0.0, 1.0, -0.2, 1.2, np.nan, np.inf, -np.inf])
 def test_anchor_endpoints_rejected(y):
-    with pytest.raises(ValueError, match="strictly inside"):
+    with pytest.raises(ValueError, match=r"^y must lie strictly inside \(0, 1\)$"):
         density_stats(KernelParams(a=1.0), y)

@@ -141,11 +141,11 @@ class TestGreenClosed:
                 got = green_closed(params, x, y)
                 assert abs(got - want) <= 1e-14 * want, (x, y)
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.1, np.nan])
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, np.nan, np.inf, -np.inf])
     def test_domain_rejected(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\]$"):
             green_closed(A1, bad, 0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^y must lie in \[0, 1\]$"):
             green_closed(A1, 0.5, bad)
 
 
@@ -205,9 +205,9 @@ class TestL1Norm:
         y = np.linspace(1e-6, 1.0 - 1e-6, 101)
         assert np.all(l1_norm(A10, y) > 0.0)
 
-    @pytest.mark.parametrize("y", [0.0, 1.0, -0.2, 1.2])
+    @pytest.mark.parametrize("y", [0.0, 1.0, -0.2, 1.2, np.nan, np.inf, -np.inf])
     def test_endpoints_rejected(self, y):
-        with pytest.raises(ValueError, match="strictly inside"):
+        with pytest.raises(ValueError, match=r"^y must lie strictly inside \(0, 1\)$"):
             l1_norm(A1, y)
 
 
@@ -249,6 +249,13 @@ class TestNormalizedGreen:
     def test_anchor_endpoints_rejected(self):
         with pytest.raises(ValueError, match="strictly inside"):
             normalized_green(A1, 0.5, 0.0)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.1, np.nan, np.inf, -np.inf])
+    def test_domain_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"^x must lie in \[0, 1\]$"):
+            normalized_green(A1, bad, 0.5)
+        with pytest.raises(ValueError, match=r"^y must lie strictly inside \(0, 1\)$"):
+            normalized_green(A1, 0.5, bad)
 
     @pytest.mark.parametrize("a", [1e100, 1e154])
     @pytest.mark.parametrize("y", [5e-324, 3e-320, 1e-300, 1e-200])

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 
 import reference
 import refvals
-from greenreg import cli
+from greenreg import cli, kernel, regression
 from greenreg.kernel import KernelParams, green_closed, normalized_green
 from greenreg.regression import (
     MIN_ABSCISSA_GAP,
@@ -49,9 +49,10 @@ class TestSampleSet:
         with pytest.raises(ValueError, match="0.3"):
             SampleSet(xi=[0.1, 0.3, 0.3 + 1e-10], eta=[1.0, 2.0, 3.0])
 
-    @pytest.mark.parametrize("x", [0.0, 1.0, -0.5, 1.5])
+    @pytest.mark.parametrize("x", [0.0, 1.0, -0.5, 1.5, np.nan, np.inf, -np.inf])
     def test_rejects_abscissae_outside_open_interval(self, x):
-        with pytest.raises(ValueError, match="strictly inside"):
+        with pytest.raises(ValueError,
+                           match=r"^sample abscissae must lie strictly inside \(0, 1\)$"):
             SampleSet(xi=[x], eta=[1.0])
 
     def test_rejects_length_mismatch_and_empty(self):
@@ -89,6 +90,12 @@ class TestQueryGrid:
     def test_rejects_endpoint_queries(self):
         with pytest.raises(ValueError, match="strictly inside"):
             QueryGrid(x_star=[0.5, 1.0])
+
+    @pytest.mark.parametrize("x", [0.0, -0.5, 1.5, np.nan, np.inf, -np.inf])
+    def test_rejects_queries_outside_open_interval(self, x):
+        with pytest.raises(ValueError,
+                           match=r"^query abscissae must lie strictly inside \(0, 1\)$"):
+            QueryGrid(x_star=[0.5, x])
 
 
 class TestCovarianceBlocks:
@@ -207,6 +214,25 @@ class TestTwoNeighbourPredictor:
         for values in (pred.mean, pred.variance, pred.std, pred.band_lo, pred.band_hi):
             assert np.all(np.isfinite(values))
         assert np.all(pred.variance >= 0.0)
+
+    def test_posterior_checks_no_input_again(self, samples, monkeypatch):
+        # SampleSet and QueryGrid check their arrays where they enter; the
+        # posterior runs the kernel on them and checks nothing again
+        grid, coarse = QueryGrid.uniform(0.001), QueryGrid.uniform(0.01)
+        checked = []
+        for module in (kernel, regression):
+            for name in ("_as_unit", "_as_open_unit"):
+                def counted(label, v, check=getattr(module, name)):
+                    checked.append(label)
+                    return check(label, v)
+                monkeypatch.setattr(module, name, counted)
+        predict(A1, samples, grid)
+        predictive_covariance(A1, samples, coarse)
+        assert checked == []
+        # the count sees the public kernel's checks
+        green_closed(A1, grid.x_star, 0.5)
+        normalized_green(A1, grid.x_star, 0.5)
+        assert checked == ["x", "y", "y", "x"]
 
     def test_memory_is_linear_and_no_solve(self, monkeypatch):
         # the dense path would need an M x M block of 80 GB for predict here,
@@ -393,7 +419,7 @@ class TestDiscretizedSolution:
         assert np.all(np.abs(got - dense) <= 1e-12 * scale)
         assert np.all(got[(x == 0.0) | (x == 1.0)] == 0.0)
 
-    @pytest.mark.parametrize("bad", [-1e-9, 1.5, np.nan])
+    @pytest.mark.parametrize("bad", [-1e-9, 1.5, np.nan, np.inf, -np.inf])
     def test_rejects_abscissae_outside_unit_interval(self, samples, bad):
         with pytest.raises(ValueError, match=r"x must lie in \[0, 1\]"):
             discretized_solution(A1, samples, 0.01, np.array([0.5, bad]))
