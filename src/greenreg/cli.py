@@ -9,9 +9,9 @@ computation is in closed form, so no valid input fails numerically.
 flushed: that skips the interpreter's teardown, about 40 ms a command.
 
 With ``--format svg``, ``predict`` and ``solve`` write their table from a
-forked child while this process draws the plot, and write the plot once
-the table is complete; a table the child did not finish is written again
-in this process.  Validation still happens before any output is touched.
+forked child while this process draws the plot; where no child wrote it
+whole, this process writes it once the plot is drawn.  The plot is written
+last, even after a failed table.  Inputs are checked before any output.
 ``--delta`` (``predict``, ``density`` and ``solve``) is checked once,
 against [MIN_DELTA, 0.5], before any command runs, so no grid has more
 than 1 000 001 rows.
@@ -23,6 +23,7 @@ import argparse
 import os
 import sys
 import warnings
+from contextlib import suppress
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -77,56 +78,44 @@ def load_samples(path: Path) -> SampleSet:
     return SampleSet(xi=np.asarray(xi), eta=np.asarray(eta))
 
 
-def _fork_table_writer(fh, table):
-    """Fork a child that writes the text blocks ``table`` to ``fh`` and exits 0
-    once all of it is written; return its pid, or None where no child can be started."""
-    try:
-        with warnings.catch_warnings():
-            # Python 3.12+ warns on a fork with threads, such as numpy's BLAS
-            # worker; the child calls no BLAS, it only formats and writes
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        return None
-    if pid == 0:
-        # the child writes the file, through its copy of fh; it never
-        # returns into main, and never flushes the stdio it inherited
-        try:
-            with fh:
-                fh.writelines(table)
-            os._exit(0)
-        finally:
-            os._exit(1)
-    return pid
-
-
 def _write_outputs(out: Path, table, plot) -> None:
     """Write the text blocks ``table`` to ``out`` and ``plot()``, if any, to its .svg sibling.
 
-    ``table`` is formatted as it is written.  With a plot, a forked child
-    writes the table while this process draws the plot: both passes are
-    Python formatting, which holds the GIL.  The CSV is opened first, so
-    an unwritable ``out`` fails with nothing written.  The plot is written
-    once the child is reaped, so it replaces the whole table where its
-    path names the CSV.  A table the child did not finish, for whatever
-    reason, is written again here; a failure of that write is raised
-    with its own message, after the plot is written.
+    ``table`` is formatted as it is written.  ``out`` is opened first, so an
+    unwritable ``out`` fails with nothing written.  With a plot, a forked
+    child writes the table while this process draws the plot (both passes
+    hold the GIL); wherever no child wrote the whole table, this process
+    writes it once the plot is drawn.  The plot is written last, even where
+    the table fails, so it replaces the whole table where its path names
+    the CSV; the table's error is raised after it.
     """
-    pid = None
+    pid = text = None
     try:
         with open(out, "w", encoding="utf-8") as fh:
             if plot is not None and hasattr(os, "fork"):
-                # this process never writes to fh: its buffer is empty, so
-                # its close flushes nothing
-                pid = _fork_table_writer(fh, table)
-            if pid is None:
-                fh.writelines(table)
-        text = plot() if plot is not None else None
-    finally:
-        failed = pid is not None and os.waitpid(pid, 0)[1] != 0
-    try:
-        if failed:
-            with open(out, "w", encoding="utf-8") as fh:
+                # no child to be had (OSError) costs the overlap, not the command
+                with suppress(OSError), warnings.catch_warnings():
+                    # the child calls no BLAS, so Python 3.12+'s fork-with-threads warning is moot
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            if pid == 0:
+                # the child writes the file, through its copy of fh; it never
+                # returns into main, and never flushes the stdio it inherited
+                try:
+                    with fh:
+                        fh.writelines(table)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            try:
+                text = plot() if plot is not None else None
+            finally:
+                failed = pid is not None and os.waitpid(pid, 0)[1] != 0
+            if pid is None or failed:
+                if failed:
+                    # fh's buffer is empty: start again over what the child left
+                    fh.seek(0)
+                    fh.truncate()
                 fh.writelines(table)
     finally:
         if text is not None:
@@ -199,6 +188,12 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
 
+    # argparse swallows a failed write of the help text; main reports it
+    def print_help(self, file=None):
+        file = file or sys.stdout
+        if file is not None:
+            file.write(self.format_help())
+
 
 def _parse_queries(text: str) -> tuple[float, ...]:
     try:
@@ -266,8 +261,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         if "delta" in args and not MIN_DELTA <= args.delta <= 0.5:
             raise ValueError(f"delta must lie in [{MIN_DELTA:g}, 0.5], got {args.delta!r}")
         status = args.run(args)

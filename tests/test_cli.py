@@ -330,6 +330,43 @@ class TestForkedWriter:
         assert (tmp_path / "sol.csv").read_text(encoding="utf-8") == "x,u\n"
         assert (tmp_path / "sol.svg").read_text(encoding="utf-8") == "<svg/>\n"
 
+    @pytest.mark.parametrize("fork", ["missing", "EAGAIN"])
+    def test_failing_table_without_a_child_gets_its_plot(self, tmp_path, monkeypatch, fork):
+        # with no child, this process writes the table once the plot is
+        # drawn, so a table that fails partway is handled as a failed
+        # child's: the plot is written, then the table's own error raised
+        if fork == "missing":
+            monkeypatch.delattr(os, "fork")
+        else:
+            def out_of_resources():
+                raise OSError(errno.EAGAIN, "no more")
+
+            monkeypatch.setattr(os, "fork", out_of_resources)
+
+        def blocks():
+            yield "x,u\n"
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="^disk full$"):
+            cli._write_outputs(tmp_path / "sol.csv", blocks(), lambda: "<svg/>\n")
+        assert (tmp_path / "sol.csv").read_text(encoding="utf-8") == "x,u\n"
+        assert (tmp_path / "sol.svg").read_text(encoding="utf-8") == "<svg/>\n"
+
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_out_is_opened_once(self, data_file, tmp_path, monkeypatch, fmt):
+        # a named pipe as --out would see end-of-file at a first close
+        out = tmp_path / "o.csv"
+        opened = []
+
+        def counted_open(file, *args, **kwargs):
+            opened.append(Path(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", counted_open, raising=False)
+        assert cli.main(["predict", "--data", str(data_file), "--a", "1", "--out", str(out),
+                         "--format", fmt]) == 0
+        assert opened.count(out) == 1
+
     def test_both_failures_print_one_error(self, data_file, tmp_path, capsys, monkeypatch):
         # the table fails and so does the plot's write, which comes last:
         # its error is the one reported
@@ -853,22 +890,29 @@ class TestProcessExit:
     def expected_error(code):
         return f"error: [Errno {code}] {os.strerror(code)}\n"
 
+    # each failing-stdout case runs buffered, then once more under python -u,
+    # where every write reaches the descriptor at once
+    BUFFERING_FLAGS = ([], ["-u"])
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_full_stdout_exits_one(self):
-        with open("/dev/full", "w") as full:
-            proc = run_python("-m", "greenreg.cli", "density", "--a", "1", "--y", "0.3",
-                              stdout=full)
-        assert (proc.returncode, proc.stderr) == (1, self.expected_error(errno.ENOSPC))
+        for flags in self.BUFFERING_FLAGS:
+            with open("/dev/full", "w") as full:
+                proc = run_python(*flags, "-m", "greenreg.cli", "density", "--a", "1",
+                                  "--y", "0.3", stdout=full)
+            assert (proc.returncode, proc.stderr) == (1, self.expected_error(errno.ENOSPC)), flags
 
     def test_closed_pipe_exits_one(self):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = run_python("-m", "greenreg.cli", "density", "--a", "1", "--y", "0.3",
-                              stdout=write_end)
+            for flags in self.BUFFERING_FLAGS:
+                proc = run_python(*flags, "-m", "greenreg.cli", "density", "--a", "1",
+                                  "--y", "0.3", stdout=write_end)
+                want = (1, self.expected_error(errno.EPIPE))
+                assert (proc.returncode, proc.stderr) == want, flags
         finally:
             os.close(write_end)
-        assert (proc.returncode, proc.stderr) == (1, self.expected_error(errno.EPIPE))
 
     def test_buffered_stdout_is_complete(self, tmp_path, capsys):
         rng = np.random.default_rng(23)
@@ -923,19 +967,29 @@ class TestProcessExit:
     @pytest.mark.parametrize("argv", [["--help"], ["predict", "--help"]],
                              ids=["main", "predict"])
     def test_help_to_full_stdout_exits_one(self, argv):
-        # argparse leaves main through SystemExit, before main's own flush
-        with open("/dev/full", "w") as full:
-            proc = run_python("-m", "greenreg.cli", *argv, stdout=full)
-        assert (proc.returncode, proc.stderr) == (1, self.expected_error(errno.ENOSPC))
+        # buffered, argparse leaves main through SystemExit, before main's own
+        # flush; unbuffered, the help text's own write fails
+        for flags in self.BUFFERING_FLAGS:
+            with open("/dev/full", "w") as full:
+                proc = run_python(*flags, "-m", "greenreg.cli", *argv, stdout=full)
+            assert (proc.returncode, proc.stderr) == (1, self.expected_error(errno.ENOSPC)), flags
 
     def test_help_to_closed_pipe_exits_one(self):
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = run_python("-m", "greenreg.cli", "--help", stdout=write_end)
+            for flags in self.BUFFERING_FLAGS:
+                proc = run_python(*flags, "-m", "greenreg.cli", "--help", stdout=write_end)
+                want = (1, self.expected_error(errno.EPIPE))
+                assert (proc.returncode, proc.stderr) == want, flags
         finally:
             os.close(write_end)
-        assert (proc.returncode, proc.stderr) == (1, self.expected_error(errno.EPIPE))
+
+    def test_help_without_stdout_writes_nothing(self):
+        # with descriptor 1 closed the help text goes nowhere, as print sends it
+        proc = run_python("-m", "greenreg.cli", "--help", stdout=None,
+                          preexec_fn=lambda: os.close(1))
+        assert (proc.returncode, proc.stderr) == (0, "")
 
     def test_usage_error_exits_one(self, capsys):
         with pytest.raises(SystemExit):
