@@ -6,7 +6,7 @@ unwritable files, stdout among them (a full disk, a closed pipe).  Every
 computation is in closed form, so no valid input fails numerically.
 ``python -m greenreg.cli`` and the ``greenreg`` script enter through
 ``run``, which ends the process by ``os._exit`` once its output is
-flushed: that skips the interpreter's teardown, about 40 ms a command.
+flushed, skipping the interpreter's teardown.
 
 With ``--format svg``, ``predict`` and ``solve`` write their table from a
 forked child while this process draws the plot; where no child wrote it
@@ -37,8 +37,8 @@ from .regression import (QueryGrid, SampleSet, _axis_grid, build_cov_matrix,
                          discretized_solution, predict)
 
 _FORMATS = ("csv", "svg")
-# the finest grid step, 1 000 001 rows: on 1000 sites predict --format svg peaks at 277 MB RSS,
-# predict at 130 MB and the others at most 115 MB; at 1e-9 numpy would be asked for 7.45 GiB
+# the finest grid step, so no grid has more than 1 000 001 rows; at 1e-9
+# the grid alone, 1e9 doubles, would ask numpy for 7.45 GiB
 MIN_DELTA = 1e-6
 
 
@@ -190,9 +190,7 @@ class _Parser(argparse.ArgumentParser):
 
     # argparse swallows a failed write of the help text; main reports it
     def print_help(self, file=None):
-        file = file or sys.stdout
-        if file is not None:
-            file.write(self.format_help())
+        (file or sys.stdout).write(self.format_help())
 
 
 def _parse_queries(text: str) -> tuple[float, ...]:
@@ -266,9 +264,8 @@ def main(argv=None) -> int:
         if "delta" in args and not MIN_DELTA <= args.delta <= 0.5:
             raise ValueError(f"delta must lie in [{MIN_DELTA:g}, 0.5], got {args.delta!r}")
         status = args.run(args)
-        if sys.stdout is not None:
-            # flushed here, a failed write to stdout is reported like any other
-            sys.stdout.flush()
+        # flushed here, a failed write to stdout is reported like any other
+        sys.stdout.flush()
         return status
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -284,22 +281,25 @@ def run() -> None:
     collections.  A ``SystemExit`` from argparse (``--help``, usage
     errors) gives its status; a failed flush of its text exits 1 with one
     ``error:`` line.  An unexpected exception ends the process as usual.
+    A closed descriptor 1 or 2 leaves ``sys.stdout`` or ``sys.stderr``
+    None; it is replaced by the null device, where output goes nowhere.
     """
+    for name in ("stdout", "stderr"):
+        if getattr(sys, name) is None:
+            setattr(sys, name, open(os.devnull, "w", encoding="utf-8"))
     try:
         status = main()
     except SystemExit as exc:
         status = exc.code or 0
     try:
-        if sys.stdout is not None:
-            sys.stdout.flush()
+        sys.stdout.flush()
     except OSError as exc:
         # a failed flush that main reported fails here again on the same text
         if not status:
             print(f"error: {exc}", file=sys.stderr)
             status = 1
     try:
-        if sys.stderr is not None:
-            sys.stderr.flush()
+        sys.stderr.flush()
     finally:
         os._exit(status)
 

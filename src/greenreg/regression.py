@@ -28,9 +28,10 @@ from .kernel import (
 )
 
 # between two sites the predictive variance H(x, x) - sum w H(x, xi) is a
-# difference of nearly equal terms, off by a few ulp of H(x, x): at this
-# gap up to about 5e-7 of the variance, growing like 1 / gap below it
-# (about 1e-5 at 1e-11, 1e-3 at 1e-13); the mean stays exact
+# difference of nearly equal terms, so its error relative to the variance
+# grows like 1 / gap; at this gap it stays within 8 eps H(x, x), and the
+# mean's within 1e-15 relative (tests/test_regression.py::TestAgainstMpmath::
+# test_gap_floor_error_is_a_few_ulp_of_the_prior)
 MIN_ABSCISSA_GAP = 1e-9
 
 # negative predictive variances no worse than this are rounding noise and

@@ -4,6 +4,17 @@ Each test pins an externally visible behavior of the package at its
 contractual tolerance: the golden matrices and summary tables at their
 printed precision, the analytic identities at near machine precision,
 and the curve pipelines at their structural guarantees.
+
+- Golden values: the three-decimal covariance matrices at ``a = 1`` and
+  10, the density summary table, and the variance decomposition pairs.
+  The pairs are evaluated at x* = 40/99, the 100-point grid node nearest
+  0.4, where they were computed: exact evaluation there reproduces all
+  four printed values, while at 0.4 the ``a = 10`` pair misses by 3.4e-3.
+- Identities: exact interpolation at the data sites, unit mass of every
+  section, the reproducing property, series/closed-form agreement, the
+  ``L1`` closed form, and the orderings in ``a``.
+- The curve pipelines: boundary zeros, positivity, determinism and the
+  CSV round trip.
 """
 
 import numpy as np

@@ -1,11 +1,46 @@
-"""End-to-end command-line behavior: files in, files/stdout out, exit codes."""
+"""End-to-end command-line behavior: files in, files/stdout out, exit codes.
+
+- Data files: headers, blank lines and a UTF-8 byte-order mark are
+  accepted; a parse error names its line; duplicate abscissae and empty
+  files are rejected.
+- Each command's output: the tables and their trailer, the golden
+  matrix, the density summary, the SVG plots (band under the mean line,
+  points in x order for unsorted ``--queries``), a grid that ends at
+  exactly 1 at steps such as 1/161, and ``predict``'s ``x_star`` column
+  equal to ``solve``'s ``x`` column without its end rows.
+- The table and plot writer: an ``<out>.svg`` that is a directory, an
+  ``--out`` in a missing directory, a failing table (its plot is still
+  written), two failures (one ``error:`` line, the plot's), a child that
+  dies silently, a plot path that names or links to the CSV, ``--out``
+  opened once, the same bytes with or without ``os.fork``, and no
+  warning from a fork with threads.
+- Exit codes: usage errors, out-of-range values and a ``--delta`` below
+  the floor exit 1 and write nothing; the floor builds no grid.
+- Every coefficient: each command at ``a`` from 0 to 1e154 with no
+  quadrature bound in the package, and at subnormal ``a`` the ``a = 0``
+  output byte for byte.
+- Output bytes: per-value ``.12g`` / ``.6g`` / ``.3f`` rendering, signed
+  zeros and ties included, within one format block and across two block
+  boundaries.
+- The README: its examples run, and every test it cites exists.
+- The flag set of each command, the names ``perfbench`` calls, no
+  ``scipy`` import, every public name, and the console script entry.
+- Subprocesses: the commands run clean under ``-X dev -W error``, through
+  ``-m greenreg.cli`` and through ``main`` with the interpreter's
+  teardown; a full stdout or a closed pipe exits 1 with one ``error:``
+  line, also under ``python -u`` and for ``--help``; block-buffered output
+  is complete; a closed stdout fails no command; a usage error exits 1;
+  every entry point runs with ``scipy`` blocked from import.
+"""
 
 import argparse
+import ast
 import errno
 import importlib
 import inspect
 import os
 import pkgutil
+import re
 import shlex
 import signal
 import subprocess
@@ -776,6 +811,31 @@ def test_readme_examples_run(data_file, monkeypatch, capsys):
                 assert out.with_suffix(".svg").stat().st_size > 0, line
 
 
+def test_readme_cites_tests_that_exist():
+    # each guarantee in "Numerical notes" names the test behind it, and a
+    # renamed or deleted test must not leave the README citing it
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    cited = re.findall(r"tests/(\w+\.py)::(\w+)(?:::(\w+))?", readme)
+    assert cited
+    for module, name, member in cited:
+        tree = ast.parse((root / "tests" / module).read_text(encoding="utf-8"))
+        defined = {node.name: node for node in tree.body
+                   if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+        assert name in defined, f"{module}::{name}"
+        if member:
+            assert isinstance(defined[name], ast.ClassDef), f"{module}::{name}"
+            methods = {node.name for node in defined[name].body
+                       if isinstance(node, ast.FunctionDef)}
+            assert member in methods, f"{module}::{name}::{member}"
+
+    notes = readme.split("\n## Numerical notes\n", 1)[1].split("\n## ", 1)[0]
+    bullets = notes.split("\n- ")[1:]
+    assert bullets
+    for bullet in bullets:
+        assert re.search(r"tests/\w+\.py::\w+", bullet), bullet
+
+
 def test_flags_of_each_command():
     # option string -> required, per subcommand; matrix draws no grid, so
     # it takes no --delta, and density's --out is only for its SVG
@@ -947,9 +1007,10 @@ class TestProcessExit:
 
     def test_commands_run_without_stdout(self, data_file, tmp_path):
         # with descriptor 1 closed, sys.stdout is None: predict needs no stdout,
-        # and density's summary goes nowhere, as print sends it
+        # and the matrix and density's summary go nowhere
         table = ["predict", "--data", str(data_file), "--a", "1", "--out"]
-        for argv in (table + ["p.csv"], ["density", "--a", "1", "--y", "0.3"]):
+        for argv in (table + ["p.csv"], ["matrix", "--data", str(data_file), "--a", "1"],
+                     ["density", "--a", "1", "--y", "0.3"]):
             proc = run_python("-m", "greenreg.cli", *argv, cwd=tmp_path, stdout=None,
                               preexec_fn=lambda: os.close(1))
             assert (proc.returncode, proc.stderr) == (0, ""), argv

@@ -1,4 +1,14 @@
-"""Density summaries of normalized kernel sections."""
+"""Density summaries of normalized kernel sections.
+
+``density_stats`` is checked against frozen values, against 60-digit
+``mpmath`` (``refvals.mp_section``) within 1e-14 for 15 values of ``a``
+from 0 to ``MAX_COEFFICIENT`` at 8 anchors, and against 30-digit
+``mpmath.quad`` on sharp sections near the ends (``a = 100`` and 1000).
+The seam between its series and closed forms moves no more than the
+exact functions do.  ``hypothesis`` draws ``a`` log-uniformly in
+[1e-12, 1e12] and checks ordered central masses, a positive variance and
+the mirror symmetry ``y -> 1 - y``.  Anchors outside (0, 1) are rejected.
+"""
 
 import math
 

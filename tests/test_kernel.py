@@ -1,4 +1,25 @@
-"""Closed-form kernel, series cross-check, normalization, reproducing relation."""
+"""Closed-form kernel, series cross-check, normalization, reproducing relation.
+
+- ``KernelParams`` rejects a negative, non-finite or too large ``a``; the
+  bound is where ``a**2`` overflows; below ``sqrt(float min)`` every
+  output equals the ``a = 0`` output bit for bit.
+- ``green_closed``: frozen values, exact symmetry, zeros at the ends,
+  nonnegativity, the ``a = 0`` form, continuity in ``a``, and 60-digit
+  ``mpmath`` agreement within 1e-14 relative from ``a = 1e-12`` to 1e150;
+  NaN, ``inf`` and out-of-range abscissae are rejected.
+- The sine series of ``reference`` agrees with the closed form.
+- ``l1_norm``: frozen values, the midpoint identity, the ``a = 0`` form,
+  quadrature, and ``mpmath`` within 1e-15 relative from ``a = 0`` to
+  ``MAX_COEFFICIENT``; anchors outside (0, 1) are rejected.
+- ``normalized_green``: frozen values, asymmetry, unit mass by quadrature,
+  and finite values where ``L1`` underflows (``a = 1e154``).
+- The reference derivatives of G match central differences and jump by
+  one across the diagonal.
+- The inner product of ``reference`` reproduces point evaluation, and its
+  200 results (``a`` from 0 to 1000, 20 anchors, a smooth and a kinked
+  ``u``) are pinned by a SHA-256 digest to the floats of the general
+  integrator it replaced.
+"""
 
 import dataclasses
 import hashlib

@@ -7,8 +7,11 @@ of ``reference`` are the oracle for the two-neighbour predictor.  Below
 a = 1e-100, down to the least subnormal, the predictor and the
 superposition scan have a second oracle, their own a = 0 output, which
 holds down to subnormal sites and queries where the dense reference
-keeps no digits.  The CLI properties cover the data-file round trip and
-the rule that a failed run writes nothing.
+keeps no digits.  G must be symmetric and vanish at the ends.  The CLI
+properties cover the data-file round trip (``load_samples`` reads values
+written with ``repr`` back exactly) and the rule that a failed run, with
+a bad ``--a``, ``--delta`` or ``--queries`` or a malformed data row,
+exits 1 and writes nothing.
 """
 
 import tempfile

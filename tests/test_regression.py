@@ -2,6 +2,25 @@
 
 The dense block formulas of ``reference`` are the oracle for the
 two-neighbour predictor and covariance.
+
+- ``SampleSet`` and ``QueryGrid`` reject unsorted, too close, out-of-range,
+  non-finite and mismatched input with their own message.
+- ``predict``: exact interpolation, frozen values at 0.4, the variance
+  decomposition terms at 1e-11, the two-sigma band, and the dense oracle
+  within 1e-9 for ``N`` up to 200 and ``a`` up to 100.  It checks no
+  input again, runs with ``numpy.linalg.solve`` patched to raise, and
+  stays in bounded memory at 99 999 queries.
+- Against the 80-digit posterior ``refvals.mp_posterior``: sites the
+  ``MIN_ABSCISSA_GAP`` floor apart, where the variance error stays within
+  8 eps H(x, x), and queries from 5e-324 to 1 - 2^-52.
+- The variance clamp counts only negatives beyond rounding noise.
+- ``predictive_covariance``: the dense oracle within
+  ``1e-14 * max H(x, x)``, its clamped diagonal equal to ``predict``'s
+  variance bit for bit, and the ``a = 0`` output at tiny ``a``.
+- ``discretized_solution``: exact end zeros, linearity in the ordinates,
+  the series superposition, the dense sum within 1e-12 of its scale for
+  ``a`` up to 1e6, and bounded memory, also for ``solve --delta 1e-5
+  --format svg`` end to end.
 """
 
 import tracemalloc
