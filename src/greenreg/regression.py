@@ -6,7 +6,7 @@ query values on the data.  No noise term: the posterior mean passes
 through every sample exactly and the posterior variance vanishes there.
 G is the covariance of a Markov bridge, so conditioning needs no matrix
 solve: a query's weights sit on the two sites bracketing it, and the
-predictive mean, variance and covariance are sums of two terms.
+predictive mean, variance and covariance need only those two sites.
 """
 
 from __future__ import annotations
@@ -27,16 +27,10 @@ from .kernel import (
     _scaled_sinh_ratio,
 )
 
-# between two sites the predictive variance H(x, x) - sum w H(x, xi) is a
-# difference of nearly equal terms, so its error relative to the variance
-# grows like 1 / gap; at this gap it stays within 8 eps H(x, x), and the
-# mean's within 1e-15 relative (tests/test_regression.py::TestAgainstMpmath::
-# test_gap_floor_error_is_a_few_ulp_of_the_prior)
+# the package sets no floor on the gap between sites; this one is read only
+# by the benchmark, which spaces its generated sites by it
+# (perfbench/run.py::_min_gap)
 MIN_ABSCISSA_GAP = 1e-9
-
-# negative predictive variances no worse than this are rounding noise and
-# are zeroed silently; anything worse is zeroed too but counted
-VARIANCE_CLAMP_TOLERANCE = 1e-9
 
 
 def _axis_grid(delta: float) -> np.ndarray:
@@ -48,8 +42,8 @@ def _axis_grid(delta: float) -> np.ndarray:
 class SampleSet:
     """Observed data: abscissae ``xi`` with ordinates ``eta``.
 
-    Abscissae must be finite, strictly increasing, strictly inside (0, 1)
-    and pairwise separated by at least ``MIN_ABSCISSA_GAP``.
+    Abscissae must be finite, strictly increasing and strictly inside
+    (0, 1); two sites may be as close as one ulp.
     """
 
     xi: np.ndarray
@@ -63,16 +57,8 @@ class SampleSet:
         if xi.size == 0:
             raise ValueError("at least one sample is required")
         _as_open_unit("sample abscissae", xi)
-        gaps = np.diff(xi)
-        if np.any(gaps <= 0.0):
+        if np.any(np.diff(xi) <= 0.0):
             raise ValueError("sample abscissae must be strictly increasing")
-        if np.any(gaps < MIN_ABSCISSA_GAP):
-            k = int(np.flatnonzero(gaps < MIN_ABSCISSA_GAP)[0])
-            raise ValueError(
-                f"sample abscissae {float(xi[k])!r} and {float(xi[k + 1])!r} are closer"
-                f" than {MIN_ABSCISSA_GAP:g}; the predictive variance between them"
-                f" would lose more than half its digits to cancellation"
-            )
         if not np.all(np.isfinite(eta)):
             raise ValueError("sample ordinates must be finite")
         object.__setattr__(self, "xi", xi)
@@ -116,9 +102,9 @@ class QueryGrid:
 class Prediction:
     """Predictive summary at the query abscissae.
 
-    ``band_lo``/``band_hi`` bracket mean -+ 2 std; ``clamped_count`` says
-    how many variances were negative beyond rounding noise before being
-    clamped to zero.
+    ``band_lo``/``band_hi`` bracket mean -+ 2 std.  The variance is a sum
+    of nonnegative terms, so ``clamped_count`` is always 0; it stays for
+    the ``# clamped=N`` trailer of the CLI's table.
     """
 
     x_star: np.ndarray
@@ -127,7 +113,7 @@ class Prediction:
     std: np.ndarray
     band_lo: np.ndarray
     band_hi: np.ndarray
-    clamped_count: int
+    clamped_count: int = 0
 
 
 def build_cov_matrix(params: KernelParams, samples: SampleSet) -> np.ndarray:
@@ -140,51 +126,25 @@ def build_cov_matrix(params: KernelParams, samples: SampleSet) -> np.ndarray:
     return _normalize(params.a, _green(params.a, xi[:, None], xi), *_l1_factors(params.a, xi))
 
 
-def _clamp_variances(raw: np.ndarray) -> tuple[np.ndarray, int]:
-    """Zero out negative variances; count those beyond rounding noise."""
-    clamped = int(np.count_nonzero(raw < -VARIANCE_CLAMP_TOLERANCE))
-    return np.where(raw < 0.0, 0.0, raw), clamped
-
-
 def _bracket(a: float, xi: np.ndarray, x):
     """Kriging weights of x on the two sites bracketing it.
 
     The sites are ``xi`` padded with the ends 0 and 1, returned with the
     index k of the bracket sites[k] <= x <= sites[k + 1] (x = 1 takes
     the last one).  The weights are sinh(a (hi - x)) / sinh(a (hi - lo))
-    and its mirror, written as exp(-a (x - lo)) S(hi - x) / S(hi - lo)
+    and its mirror, written as exp(-a (x - lo)) (S(hi - x) / S(hi - lo))
     with S = _scaled_sinh: no factor overflows at large a, and S is the
     gap itself where 2 a gap is below the epsilon, so tiny a gives
-    linear interpolation, not 0/0.
+    linear interpolation, not 0/0.  Dividing first keeps a subnormal
+    weight from rounding before the division.
     """
     sites = np.concatenate(([0.0], xi, [1.0]))
     k = np.searchsorted(xi, x, side="right")
     lo, hi = sites[k], sites[k + 1]
     span = _scaled_sinh(a, hi - lo)
-    w_lo = np.exp(-a * (x - lo)) * _scaled_sinh(a, hi - x) / span
-    w_hi = np.exp(-a * (hi - x)) * _scaled_sinh(a, x - lo) / span
+    w_lo = np.exp(-a * (x - lo)) * (_scaled_sinh(a, hi - x) / span)
+    w_hi = np.exp(-a * (hi - x)) * (_scaled_sinh(a, x - lo) / span)
     return sites, k, w_lo, w_hi
-
-
-def _two_neighbour(a: float, samples: SampleSet, x, z):
-    """Kriging mean at x and the posterior H(x, z) - sum_k w_k(x) H(z, xi_k).
-
-    The sum runs over the two sites bracketing x, an end counting as a
-    site of value 0.  ``x`` and ``z`` broadcast against each other: a
-    column of queries against a row gives the whole predictive
-    covariance, at O(1) per entry.
-    """
-    sites, k, w_lo, w_hi = _bracket(a, samples.xi, x)
-    values = np.concatenate(([0.0], samples.eta, [0.0]))
-    # G vanishes at the pinned ends, so any nonzero factors there give
-    # them a zero term
-    s_y, s_rest = (np.concatenate(([1.0], f, [1.0])) for f in _l1_factors(a, samples.xi))
-    mean = w_lo * values[k] + w_hi * values[k + 1]
-    explained = (
-        w_lo * _normalize(a, _green(a, z, sites[k]), s_y[k], s_rest[k])
-        + w_hi * _normalize(a, _green(a, z, sites[k + 1]), s_y[k + 1], s_rest[k + 1])
-    )
-    return mean, _normalize(a, _green(a, x, z), *_l1_factors(a, z)) - explained
 
 
 def predict(params: KernelParams, samples: SampleSet, grid: QueryGrid) -> Prediction:
@@ -202,15 +162,43 @@ def predict(params: KernelParams, samples: SampleSet, grid: QueryGrid) -> Predic
         mean = w_lo eta_lo + w_hi eta_hi
         variance = H(x*, x*) - w_lo H(x*, xi_lo) - w_hi H(x*, xi_hi)
 
+    That difference cancels next to a site, so the variance is evaluated
+    as a sum of terms that are all >= 0.  With T(s) = (1 - exp(-a s)) / a
+    (``_scaled_sinh`` at a / 2, s at a = 0), d_lo = x* - lo and
+    d_hi = hi - x*:
+
+        variance = H(x*, x*) [q + w_lo c_lo + w_hi c_hi]
+        q = 1 - w_lo - w_hi = a T(d_lo) a T(d_hi) / (1 + exp(-a (hi - lo)))
+        c_lo = 1 - H(x*, lo) / H(x*, x*)
+             = (1 + exp(-a)) T(d_lo) / ((1 + exp(-a x*)) T(1 - lo))
+        c_hi = (1 + exp(-a)) T(d_hi) / ((1 + exp(-a (1 - x*))) T(hi))
+
+    with c_lo = 1 where lo is the end 0 and c_hi = 1 where hi is the end
+    1.  By Markov screening, H(x*, x*) - sum w_k H(x*, xi_k) is the
+    normalized Green's function of the bracket (Rybicki & Press 1995).
+    Every factor is >= 0 and every exponent <= 0, so the variance is
+    nonnegative by construction, finite up to ``MAX_COEFFICIENT``, and
+    exactly 0 on a site, however close two sites are.
+
     This takes O((N + M) log N) time and O(N + M) memory and forms no
-    covariance matrix.  Queries need not be sorted.  A query on a site
-    reproduces its ordinate with variance exactly 0; elsewhere the
-    variance is a difference and can come out a hair negative, see
-    ``VARIANCE_CLAMP_TOLERANCE``.
+    covariance matrix.  Queries need not be sorted.
     """
-    x = grid.x_star
-    mean, posterior = _two_neighbour(params.a, samples, x, x)
-    variance, clamped_count = _clamp_variances(posterior)
+    a, x = params.a, grid.x_star
+    sites, k, w_lo, w_hi = _bracket(a, samples.xi, x)
+    values = np.concatenate(([0.0], samples.eta, [0.0]))
+    mean = w_lo * values[k] + w_hi * values[k + 1]
+    lo, hi = sites[k], sites[k + 1]
+    t_lo, t_hi = _scaled_sinh(a / 2.0, x - lo), _scaled_sinh(a / 2.0, hi - x)
+    t_x, t_rest = _l1_factors(a, x)
+    t_site, t_site_rest = _l1_factors(a, sites)
+    # 1 + exp(-a) is L1's constant factor; 1 + exp(-a s) is 2 - a T(s),
+    # which lies in [1, 2]
+    l1_const = 1.0 + np.exp(-a)
+    c_lo = np.where(k == 0, 1.0, l1_const * t_lo / ((2.0 - a * t_x) * t_site_rest[k]))
+    c_hi = np.where(k == len(samples), 1.0,
+                    l1_const * t_hi / ((2.0 - a * t_rest) * t_site[k + 1]))
+    q = (a * t_lo) * (a * t_hi) / (1.0 + np.exp(-a * (hi - lo)))
+    variance = _normalize(a, _green(a, x, x), t_x, t_rest) * (q + w_lo * c_lo + w_hi * c_hi)
     std = np.sqrt(variance)
     return Prediction(
         x_star=x,
@@ -219,23 +207,33 @@ def predict(params: KernelParams, samples: SampleSet, grid: QueryGrid) -> Predic
         std=std,
         band_lo=mean - 2.0 * std,
         band_hi=mean + 2.0 * std,
-        clamped_count=clamped_count,
     )
 
 
 def predictive_covariance(
     params: KernelParams, samples: SampleSet, grid: QueryGrid
 ) -> np.ndarray:
-    """Full M x M predictive covariance, diagonal unclamped.
+    """Full M x M predictive covariance.
 
     Entry (i, j) is H(x*_i, x*_j) - sum_k w_k(x*_i) H(x*_j, xi_k), the
     sum running over the two sites bracketing x*_i with the kriging
     weights of :func:`predict`: the two-neighbour form of the dense
-    query_cov - cross_cov^T data_cov^{-1} cross_cov.  Not symmetric,
-    since H is not.  Its diagonal is the raw (pre-clamp) variance of
-    :func:`predict`, to the bit.
+    query_cov - cross_cov^T data_cov^{-1} cross_cov, at O(1) per entry.
+    Not symmetric, since H is not.  Its diagonal, where that difference
+    cancels, is :func:`predict`'s variance, to the bit.
     """
-    return _two_neighbour(params.a, samples, grid.x_star[:, None], grid.x_star[None, :])[1]
+    a, x, z = params.a, grid.x_star[:, None], grid.x_star
+    sites, k, w_lo, w_hi = _bracket(a, samples.xi, x)
+    # G vanishes at the pinned ends, so any nonzero factors there give
+    # them a zero term
+    s_y, s_rest = (np.concatenate(([1.0], f, [1.0])) for f in _l1_factors(a, samples.xi))
+    explained = (
+        w_lo * _normalize(a, _green(a, z, sites[k]), s_y[k], s_rest[k])
+        + w_hi * _normalize(a, _green(a, z, sites[k + 1]), s_y[k + 1], s_rest[k + 1])
+    )
+    cov = _normalize(a, _green(a, x, z), *_l1_factors(a, z)) - explained
+    np.fill_diagonal(cov, predict(params, samples, grid).variance)
+    return cov
 
 
 def discretized_solution(params: KernelParams, samples: SampleSet, delta: float, x):

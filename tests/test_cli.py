@@ -1099,3 +1099,67 @@ assert sys.modules["scipy"] is None
 """
     proc = run_python("-c", code, str(data_file), str(tmp_path))
     assert proc.returncode == 0, proc.stderr
+
+
+def _avx512_targets():
+    """The AVX512 kernels this numpy dispatches to on this CPU, by numpy's own names."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as umath
+    return [name for name in getattr(umath, "__cpu_dispatch__", [])
+            if (name.startswith("AVX512") or name == "X86_V4")
+            and umath.__cpu_features__.get(name)]
+
+
+def test_predict_table_does_not_depend_on_the_cpu(tmp_path, monkeypatch):
+    # numpy's AVX512 exp and expm1 round differently from its AVX2 ones.
+    # The variance subtracts nothing, so its few ulp of difference never
+    # reach the 12th digit; the subtraction it replaced moved up to 444
+    # units there on these sites, the 1000-site set of the ROADMAP.  The
+    # mean is a sum of two weighted ordinates and moves by a few ulp of
+    # its terms, and mean - 2 std cancels, so the mean and band columns
+    # are held to one unit of their 12th digit
+    targets = _avx512_targets()
+    if not targets:
+        pytest.skip("numpy dispatches to no AVX512 kernel on this CPU")
+    rng = np.random.default_rng(1000)
+    xi = np.sort(rng.uniform(0.001, 0.999, 1000))
+    eta = rng.normal(size=1000)
+    data = tmp_path / "large.csv"
+    data.write_text("".join(f"{x!r},{y!r}\n" for x, y in zip(xi.tolist(), eta.tolist())),
+                    encoding="utf-8")
+    code = """
+import hashlib, sys
+import numpy as np
+from greenreg import cli
+
+t = np.linspace(-3.0, 3.0, 4099)
+print(hashlib.sha256(np.exp(t).tobytes() + np.expm1(t).tobytes()).hexdigest())
+data, out = sys.argv[1:]
+for a in ("1", "10", "100"):
+    argv = ["predict", "--data", data, "--a", a, "--delta", "2e-4", "--out", f"{out}-{a}.csv"]
+    assert cli.main(argv) == 0, argv
+"""
+    digests = []
+    monkeypatch.delenv("NPY_DISABLE_CPU_FEATURES", raising=False)
+    for name in ("native", "avx2"):
+        if name == "avx2":
+            monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", " ".join(targets))
+        proc = run_python("-c", code, str(data), str(tmp_path / name))
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] != digests[1], "the AVX512 kernels were not switched off"
+    for a in ("1", "10", "100"):
+        tables = [(tmp_path / f"{name}-{a}.csv").read_text(encoding="utf-8").splitlines()
+                  for name in ("native", "avx2")]
+        assert [t[0] for t in tables] == ["x_star,mean,variance,std,band_lo,band_hi"] * 2
+        assert [t[-1] for t in tables] == ["# clamped=0"] * 2
+        cells = np.array([[row.split(",") for row in t[1:-1]] for t in tables])
+        assert cells.shape == (2, 4999, 6)
+        # x_star, variance and std as printed
+        assert np.array_equal(cells[0][:, [0, 2, 3]], cells[1][:, [0, 2, 3]]), a
+        u, v = cells.astype(float)
+        scale = np.maximum(np.abs(u), np.abs(v))
+        unit = 10.0 ** (np.floor(np.log10(np.where(scale > 0.0, scale, 1.0))) - 11.0)
+        assert np.all(np.abs(u - v) <= 1.01 * unit), a

@@ -7,11 +7,14 @@ of ``reference`` are the oracle for the two-neighbour predictor.  Below
 a = 1e-100, down to the least subnormal, the predictor and the
 superposition scan have a second oracle, their own a = 0 output, which
 holds down to subnormal sites and queries where the dense reference
-keeps no digits.  G must be symmetric and vanish at the ends.  The CLI
-properties cover the data-file round trip (``load_samples`` reads values
-written with ``repr`` back exactly) and the rule that a failed run, with
-a bad ``--a``, ``--delta`` or ``--queries`` or a malformed data row,
-exits 1 and writes nothing.
+keeps no digits; there the sites may be one ulp apart.  With sites in
+clusters down to one ulp apart and ``a`` up to 1e154, the variance lies
+in [0, H(x, x)] without a clamp, and ``predictive_covariance``'s
+diagonal is ``predict``'s variance.  G must be symmetric and vanish at
+the ends.  The CLI properties cover the data-file round trip
+(``load_samples`` reads values written with ``repr`` back exactly) and
+the rule that a failed run, with a bad ``--a``, ``--delta`` or
+``--queries`` or a malformed data row, exits 1 and writes nothing.
 """
 
 import tempfile
@@ -23,9 +26,8 @@ from hypothesis import strategies as st
 
 import reference
 from greenreg import cli
-from greenreg.kernel import MAX_COEFFICIENT, KernelParams, green_closed
+from greenreg.kernel import MAX_COEFFICIENT, KernelParams, green_closed, normalized_green
 from greenreg.regression import (
-    MIN_ABSCISSA_GAP,
     QueryGrid,
     SampleSet,
     discretized_solution,
@@ -71,8 +73,7 @@ def test_two_neighbour_forms_match_the_dense_reference(params, data):
     assert np.all(np.abs(pred.variance - np.diagonal(dense)) <= 1e-9 * prior)
     assert np.all(np.abs(full - dense) <= 1e-9 * prior.max())
 
-    diag = np.diagonal(full)
-    assert np.array_equal(np.where(diag < 0.0, 0.0, diag), pred.variance)
+    assert np.array_equal(np.diagonal(full), pred.variance)
 
     on_site = np.isin(grid.x_star, s.xi)
     hit = np.searchsorted(s.xi, grid.x_star[on_site])
@@ -112,12 +113,8 @@ def test_green_is_symmetric_and_vanishes_at_the_ends(params, x, y):
 
 
 def _separated(xs):
-    """The sorted values of ``xs``, thinned to gaps of at least MIN_ABSCISSA_GAP."""
-    kept = []
-    for x in sorted(xs):
-        if not kept or x - kept[-1] >= MIN_ABSCISSA_GAP:
-            kept.append(x)
-    return kept
+    """The sorted distinct values of ``xs``: sites may be one ulp apart."""
+    return sorted(set(xs))
 
 
 # anywhere in (0, 1), log-uniformly close to either end down to the
@@ -152,6 +149,48 @@ def test_tiny_coefficient_predicts_the_zero_coefficient_to_the_bit(a, xi, x, dat
     assert discretized_solution(tiny, s, 1e-3, xs).tobytes() == (
         discretized_solution(zero, s, 1e-3, xs).tobytes()
     )
+
+
+# one ulp (a gap of 0 rounded up to the next double) or log-uniform in [1e-17, 1e-2]
+gaps = st.one_of(st.just(0.0), st.floats(-17.0, -2.0).map(lambda e: 10.0**e))
+
+
+@st.composite
+def clustered_sites(draw):
+    """Clusters of sites whose gaps run from one ulp to 1e-2."""
+    xi = set()
+    for x in draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                           min_size=1, max_size=6)):
+        xi.add(x)
+        for gap in draw(st.lists(gaps, max_size=4)):
+            x = float(max(x + gap, np.nextafter(x, 1.0)))
+            if x < 1.0:
+                xi.add(x)
+    return np.array(sorted(xi))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    a=st.one_of(st.just(0.0), st.floats(-12.0, 154.0).map(lambda e: 10.0**e)),
+    xi=clustered_sites(),
+    data=st.data(),
+)
+def test_variance_lies_between_zero_and_the_prior(a, xi, data):
+    # the variance is a sum of terms >= 0: no clamp and no floor on the gap
+    params = KernelParams(a=a)
+    s = SampleSet(xi=xi, eta=np.ones_like(xi))
+    near = np.concatenate((np.nextafter(xi, 0.0), np.nextafter(xi, 1.0), xi + 1e-12))
+    between = (xi[:-1] + xi[1:]) / 2
+    x = np.concatenate((xi, near[(near > 0.0) & (near < 1.0)], between,
+                        data.draw(st.lists(st.floats(1e-300, 1.0, exclude_max=True),
+                                           max_size=5))))
+    grid = QueryGrid(x_star=x)
+    pred = predict(params, s, grid)
+    assert np.all(pred.variance >= 0.0)
+    prior = normalized_green(params, x, x)
+    assert np.all(pred.variance <= prior * (1.0 + 4.0 * np.finfo(float).eps))
+    assert np.all(pred.variance[: xi.size] == 0.0)
+    assert np.array_equal(np.diagonal(predictive_covariance(params, s, grid)), pred.variance)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -3,20 +3,21 @@
 The dense block formulas of ``reference`` are the oracle for the
 two-neighbour predictor and covariance.
 
-- ``SampleSet`` and ``QueryGrid`` reject unsorted, too close, out-of-range,
+- ``SampleSet`` and ``QueryGrid`` reject unsorted, out-of-range,
   non-finite and mismatched input with their own message.
 - ``predict``: exact interpolation, frozen values at 0.4, the variance
   decomposition terms at 1e-11, the two-sigma band, and the dense oracle
   within 1e-9 for ``N`` up to 200 and ``a`` up to 100.  It checks no
   input again, runs with ``numpy.linalg.solve`` patched to raise, and
   stays in bounded memory at 99 999 queries.
-- Against the 80-digit posterior ``refvals.mp_posterior``: sites the
-  ``MIN_ABSCISSA_GAP`` floor apart, where the variance error stays within
-  8 eps H(x, x), and queries from 5e-324 to 1 - 2^-52.
-- The variance clamp counts only negatives beyond rounding noise.
+- Against the 80-digit posterior ``refvals.mp_posterior``: the variance
+  within 2e-15 relative, row by row, at queries from one ulp to 1e-9 of a
+  site for ``a`` from 0 to 1e150, and between sites from 2 ulps to
+  ``MIN_ABSCISSA_GAP`` apart, which ``SampleSet`` accepts; queries from
+  5e-324 to 1 - 2^-52, with a subnormal mean within one unit.
 - ``predictive_covariance``: the dense oracle within
-  ``1e-14 * max H(x, x)``, its clamped diagonal equal to ``predict``'s
-  variance bit for bit, and the ``a = 0`` output at tiny ``a``.
+  ``1e-14 * max H(x, x)``, its diagonal equal to ``predict``'s variance
+  bit for bit, and the ``a = 0`` output at tiny ``a``.
 - ``discretized_solution``: exact end zeros, linearity in the ordinates,
   the series superposition, the dense sum within 1e-12 of its scale for
   ``a`` up to 1e6, and bounded memory, also for ``solve --delta 1e-5
@@ -39,7 +40,6 @@ from greenreg.regression import (
     QueryGrid,
     SampleSet,
     _axis_grid,
-    _clamp_variances,
     build_cov_matrix,
     discretized_solution,
     predict,
@@ -63,10 +63,6 @@ class TestSampleSet:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             SampleSet(xi=[0.3, 0.1], eta=[1.0, 2.0])
-
-    def test_rejects_near_duplicates_naming_both(self):
-        with pytest.raises(ValueError, match="0.3"):
-            SampleSet(xi=[0.1, 0.3, 0.3 + 1e-10], eta=[1.0, 2.0, 3.0])
 
     @pytest.mark.parametrize("x", [0.0, 1.0, -0.5, 1.5, np.nan, np.inf, -np.inf])
     def test_rejects_abscissae_outside_open_interval(self, x):
@@ -290,7 +286,7 @@ def _midway_at_the_gap_floor(params, lo):
     """Predicted and 80-digit (mean, variance) midway between lo and the site the floor above it.
 
     The upper site is the first double at least MIN_ABSCISSA_GAP above lo,
-    so the pair is as close as SampleSet allows.  Also returns H(x, x).
+    the closest pair SampleSet used to accept.
     """
     hi = lo + MIN_ABSCISSA_GAP
     if hi - lo < MIN_ABSCISSA_GAP:
@@ -299,31 +295,29 @@ def _midway_at_the_gap_floor(params, lo):
     mid = lo + (hi - lo) / 2
     pred = predict(params, samples, QueryGrid(x_star=[mid]))
     mean, var = refvals.mp_posterior(params.a, samples.xi, samples.eta, [mid])
-    return (pred.mean[0], pred.variance[0]), (mean[0], var[0]), normalized_green(params, mid, mid)
+    return (pred.mean[0], pred.variance[0]), (mean[0], var[0])
 
 
 class TestAgainstMpmath:
     @pytest.mark.parametrize("a", [0.0, 1.0, 10.0])
     def test_sites_the_gap_floor_apart(self, a):
-        # midway, the variance is H(x, x) minus nearly all of itself; at the
-        # README's sites it came out within 1.1e-7 of the exact value
+        # midway, the variance is about 1e-9 of H(x, x); the form subtracts
+        # nothing, so it keeps every digit
         for lo in refvals.XI:
-            (mean, var), (want_mean, want_var), _ = _midway_at_the_gap_floor(KernelParams(a=a), lo)
+            (mean, var), (want_mean, want_var) = _midway_at_the_gap_floor(KernelParams(a=a), lo)
             assert abs(mean - want_mean) <= 1e-15 * abs(want_mean)
-            assert abs(var - want_var) <= 2e-7 * want_var
+            assert abs(var - want_var) <= 2e-15 * want_var
 
     @pytest.mark.parametrize("a", [0.0, 1.0, 10.0])
     def test_gap_floor_error_is_a_few_ulp_of_the_prior(self, a):
-        # relative to the variance the error depends on where the sites fall:
-        # a sweep of 400 placements found at most 3.2 ulp of H(x, x), which is
-        # 5.4e-7 of the variance at lo = 0.47196589992007265 and a = 1
+        # the subtraction H(x, x) - sum w H(x, xi) left 3.2 ulp of H(x, x),
+        # 5.4e-7 of the variance, at lo = 0.47196589992007265 and a = 1; the
+        # product form is within a few ulp of the variance itself
         anchors = np.concatenate((np.linspace(0.01, 0.99, 50), [0.47196589992007265]))
         for lo in anchors:
-            (mean, var), (want_mean, want_var), prior = _midway_at_the_gap_floor(
-                KernelParams(a=a), lo
-            )
+            (mean, var), (want_mean, want_var) = _midway_at_the_gap_floor(KernelParams(a=a), lo)
             assert abs(mean - want_mean) <= 1e-15 * abs(want_mean)
-            assert abs(var - want_var) <= 8 * np.finfo(float).eps * prior
+            assert abs(var - want_var) <= 2e-15 * want_var
 
     @pytest.mark.parametrize("a", [1e-90, 1e-50, 1e-10, 1e-3, 0.5, 1.0])
     def test_subnormal_and_extreme_queries(self, samples, a):
@@ -332,24 +326,37 @@ class TestAgainstMpmath:
                       1.0 - 2.0**-53, 1.0 - 2.0**-52])
         pred = predict(KernelParams(a=a), samples, QueryGrid(x_star=x))
         mean, var = refvals.mp_posterior(a, samples.xi, samples.eta, x)
-        # a subnormal mean has an absolute grain of 5e-324: the product in
-        # the bracket weights rounds there before the division by the span,
-        # which left errors of up to 4 grains (at 1e-310, a = 1e-10 and 1)
+        # a subnormal mean has an absolute grain of 5e-324
         err = np.abs(pred.mean - mean)
-        assert np.all((err <= 1e-15 * np.abs(mean)) | (err <= 8 * 5e-324))
+        assert np.all((err <= 1e-15 * np.abs(mean)) | (err <= 5e-324))
         assert np.all(np.abs(pred.variance - var) <= 1e-14 * var)
 
+    @pytest.mark.parametrize("a", [0.0, 1e-12, 1.0, 10.0, 100.0, 1e6, 1e150])
+    def test_variance_next_to_sites_row_by_row(self, samples, a):
+        # H(x, x) - sum w H(x, xi) lost up to all the digits of these
+        # variances, which are as small as 1e-17 of H(x, x)
+        xi = samples.xi
+        x = np.concatenate((xi + 1e-9, xi - 1e-12, xi + 1e-15, np.nextafter(xi, 1.0)))
+        pred = predict(KernelParams(a=a), samples, QueryGrid(x_star=x))
+        _, var = refvals.mp_posterior(a, xi, samples.eta, x)
+        assert np.all(var > 0.0)
+        for got, want in zip(pred.variance, var):
+            assert abs(got - want) <= 2e-15 * want, (got, want)
 
-class TestVarianceClamp:
-    def test_noise_level_negatives_are_silent(self):
-        values, count = _clamp_variances(np.array([-1e-10, 0.3, -1e-12]))
-        assert count == 0
-        assert_allclose(values, [0.0, 0.3, 0.0])
-
-    def test_large_negatives_are_counted(self):
-        values, count = _clamp_variances(np.array([-1e-6, 0.3, -2e-9]))
-        assert count == 2
-        assert_allclose(values, [0.0, 0.3, 0.0])
+    @pytest.mark.parametrize("a", [0.0, 1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("gap", ["2 ulp", 1e-15, 1e-12, 1e-9])
+    def test_sites_closer_than_the_old_floor(self, a, gap):
+        # SampleSet once rejected sites closer than MIN_ABSCISSA_GAP
+        for lo in refvals.XI:
+            hi = np.nextafter(np.nextafter(lo, 1.0), 1.0) if gap == "2 ulp" else lo + gap
+            samples = SampleSet(xi=[lo, hi], eta=[1.0, 2.0])
+            # the last query is on a site, where mpmath leaves 1e-80 or so
+            x = [lo - 1e-9, np.nextafter(lo, 1.0), lo + (hi - lo) / 2, hi + 1e-12, hi]
+            pred = predict(KernelParams(a=a), samples, QueryGrid(x_star=x))
+            mean, var = refvals.mp_posterior(a, samples.xi, samples.eta, x)
+            assert np.all(np.abs(pred.mean - mean) <= 1e-15 * np.abs(mean))
+            assert np.all(np.abs(pred.variance - var)[:-1] <= 2e-15 * var[:-1])
+            assert pred.variance[-1] == 0.0
 
 
 class TestPredictiveCovariance:
@@ -359,8 +366,8 @@ class TestPredictiveCovariance:
         assert full.shape == (4, 4)
         _, dense = reference.dense_posterior(A1, samples, grid.x_star)
         pred = predict(A1, samples, grid)
-        diag = np.diagonal(dense)
-        assert_allclose(pred.variance, np.where(diag < 0.0, 0.0, diag), atol=1e-12)
+        assert_allclose(pred.variance, np.diagonal(dense), atol=1e-12)
+        assert np.array_equal(np.diagonal(full), pred.variance)
 
     @pytest.mark.parametrize("a", [0.0, 1.0, 10.0, 100.0, 1000.0])
     @pytest.mark.parametrize("n", [1, 5, 50, 200])
@@ -372,8 +379,7 @@ class TestPredictiveCovariance:
         _, dense = reference.dense_posterior(params, samples, grid.x_star)
         scale = reference.h(params, grid.x_star, grid.x_star).max()
         assert np.all(np.abs(full - dense) <= 1e-14 * scale)
-        diag = np.diagonal(full)
-        assert np.array_equal(np.where(diag < 0.0, 0.0, diag), predict(params, samples, grid).variance)
+        assert np.array_equal(np.diagonal(full), predict(params, samples, grid).variance)
 
     @pytest.mark.parametrize("a", [1.5e-154, 1e-150, 1e-100])
     def test_tiny_coefficient_is_the_zero_coefficient_to_the_bit(self, a):
