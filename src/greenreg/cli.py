@@ -8,10 +8,9 @@ computation is in closed form, so no valid input fails numerically.
 ``run``, which ends the process by ``os._exit`` once its output is
 flushed, skipping the interpreter's teardown.
 
-With ``--format svg``, ``predict`` and ``solve`` write their table from a
-forked child while this process draws the plot; where no child wrote it
-whole, this process writes it once the plot is drawn.  The plot is written
-last, even after a failed table.  Inputs are checked before any output.
+With ``--format svg``, ``predict`` and ``solve`` write their table, then
+draw and write the plot, even after a failed table; ``solve``'s plot takes
+its points from the table's text.  Inputs are checked before any output.
 ``--delta`` (``predict``, ``density`` and ``solve``) is checked once,
 against [MIN_DELTA, 0.5], before any command runs, so no grid has more
 than 1 000 001 rows.
@@ -20,10 +19,9 @@ than 1 000 001 rows.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
-import warnings
-from contextlib import suppress
 from functools import partial
 from itertools import chain
 from pathlib import Path
@@ -48,11 +46,18 @@ def load_samples(path: Path) -> SampleSet:
     An optional header ``x,y``, the first line that is not blank, is
     skipped; blank lines are ignored; a UTF-8 byte-order mark, as
     spreadsheet programs write, is dropped.
-    Parse errors name the file and line number.  Duplicate abscissae are
-    rejected here with both offending values spelled out.
+    Parse errors, a byte that is not UTF-8 among them, name the file and
+    line number.  Duplicate abscissae are rejected here with both
+    offending values spelled out.
     """
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        lines = [(lineno, raw.strip()) for lineno, raw in enumerate(fh, start=1) if raw.strip()]
+    try:
+        text = io.StringIO(Path(path).read_bytes().decode("utf-8-sig"), newline=None)
+    except UnicodeDecodeError as exc:
+        # the bad byte is no line break: it sits on the last line up to it
+        lineno = len(exc.object[:exc.start + 1].splitlines())
+        raise ValueError(f"{path}:{lineno}: not UTF-8 text: byte {exc.object[exc.start]:#04x}"
+                         f" ({exc.reason})") from None
+    lines = [(lineno, raw.strip()) for lineno, raw in enumerate(text, start=1) if raw.strip()]
     if lines and lines[0][1].replace(" ", "").lower() == "x,y":
         del lines[0]
     rows = []
@@ -81,45 +86,18 @@ def load_samples(path: Path) -> SampleSet:
 def _write_outputs(out: Path, table, plot) -> None:
     """Write the text blocks ``table`` to ``out`` and ``plot()``, if any, to its .svg sibling.
 
-    ``table`` is formatted as it is written.  ``out`` is opened first, so an
-    unwritable ``out`` fails with nothing written.  With a plot, a forked
-    child writes the table while this process draws the plot (both passes
-    hold the GIL); wherever no child wrote the whole table, this process
-    writes it once the plot is drawn.  The plot is written last, even where
-    the table fails, so it replaces the whole table where its path names
-    the CSV; the table's error is raised after it.
+    ``out`` is opened first, and once, so an unwritable ``out`` fails with
+    nothing written.  The plot is drawn and written once ``out`` is closed,
+    even where the table fails, so it replaces the whole table where its
+    path names the CSV; the table's error is raised after it.
     """
-    pid = text = None
+    fh = open(out, "w", encoding="utf-8")
     try:
-        with open(out, "w", encoding="utf-8") as fh:
-            if plot is not None and hasattr(os, "fork"):
-                # no child to be had (OSError) costs the overlap, not the command
-                with suppress(OSError), warnings.catch_warnings():
-                    # the child calls no BLAS, so Python 3.12+'s fork-with-threads warning is moot
-                    warnings.simplefilter("ignore", DeprecationWarning)
-                    pid = os.fork()
-            if pid == 0:
-                # the child writes the file, through its copy of fh; it never
-                # returns into main, and never flushes the stdio it inherited
-                try:
-                    with fh:
-                        fh.writelines(table)
-                    os._exit(0)
-                finally:
-                    os._exit(1)
-            try:
-                text = plot() if plot is not None else None
-            finally:
-                failed = pid is not None and os.waitpid(pid, 0)[1] != 0
-            if pid is None or failed:
-                if failed:
-                    # fh's buffer is empty: start again over what the child left
-                    fh.seek(0)
-                    fh.truncate()
-                fh.writelines(table)
+        with fh:
+            fh.writelines(table)
     finally:
-        if text is not None:
-            out.with_suffix(".svg").write_text(text, encoding="utf-8")
+        if plot is not None:
+            out.with_suffix(".svg").write_text(plot(), encoding="utf-8")
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
@@ -176,9 +154,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
     samples = load_samples(args.data)
     xs = _axis_grid(args.delta)
     us = discretized_solution(KernelParams(a=args.a), samples, args.delta, xs)
-    table = chain(["x,u\n"], svg._format_rows("%.12g,%.12g\n", (xs, us)))
-    plot = partial(svg.curve_plot, xs, us) if args.format == "svg" else None
-    _write_outputs(args.out, table, plot)
+    rows = svg._format_rows("%.12g,%.12g\n", (xs, us))
+    plot = None
+    if args.format == "svg":
+        rows = list(rows)  # the plot takes its points from the table's text
+        plot = partial(svg.curve_plot, xs, us, rows)
+    _write_outputs(args.out, chain(["x,u\n"], rows), plot)
     return 0
 
 
@@ -275,14 +256,14 @@ def main(argv=None) -> int:
 def run() -> None:
     """Run ``main`` on the command line and end the process with its status.
 
-    Every output file is closed, and the table writer reaped, before
-    ``main`` returns; once stdout and stderr are flushed, ``os._exit``
-    skips the interpreter's teardown, its module clean-up and last garbage
-    collections.  A ``SystemExit`` from argparse (``--help``, usage
-    errors) gives its status; a failed flush of its text exits 1 with one
-    ``error:`` line.  An unexpected exception ends the process as usual.
-    A closed descriptor 1 or 2 leaves ``sys.stdout`` or ``sys.stderr``
-    None; it is replaced by the null device, where output goes nowhere.
+    Every output file is closed before ``main`` returns; once stdout and
+    stderr are flushed, ``os._exit`` skips the interpreter's teardown, its
+    module clean-up and last garbage collections.  A ``SystemExit`` from
+    argparse (``--help``, usage errors) gives its status; a failed flush of
+    its text exits 1 with one ``error:`` line.  An unexpected exception
+    ends the process as usual.  A closed descriptor 1 or 2 leaves
+    ``sys.stdout`` or ``sys.stderr`` None; it is replaced by the null
+    device, where output goes nowhere.
     """
     for name in ("stdout", "stderr"):
         if getattr(sys, name) is None:

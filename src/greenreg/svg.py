@@ -19,17 +19,16 @@ _MARGIN = 0.05  # padding on each side, as a fraction of the data extent
 _BLOCK = 4096
 
 
-def _format_rows(template: str, columns, sep: str = ""):
+def _format_rows(template: str, columns):
     """Yield ``template`` filled from each row of ``columns``, one string per block.
 
-    Rows within a block are joined by ``sep``; a caller joins the blocks
-    by ``sep`` as well.  Every value is rendered as ``template % row``
-    would render it, with one ``%`` call per block of ``_BLOCK`` rows.
+    Every value is rendered as ``template % row`` would render it, with
+    one ``%`` call per block of ``_BLOCK`` rows.
     """
     n = len(columns[0])
     for start in range(0, n, _BLOCK):
         block = np.column_stack([c[start:start + _BLOCK] for c in columns])
-        yield sep.join([template] * len(block)) % tuple(block.ravel().tolist())
+        yield template * len(block) % tuple(block.ravel().tolist())
 
 
 def _extents(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float, float]:
@@ -40,8 +39,18 @@ def _extents(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float, float
     return x_lo - x_pad, x_hi + x_pad, y_lo - y_pad, y_hi + y_pad
 
 
-def _poly_points(xs: np.ndarray, ys: np.ndarray) -> str:
-    return " ".join(_format_rows("%.6g,%.6g", (xs, -ys), " "))
+def _poly_points(xs: np.ndarray, ys: np.ndarray, rows=None) -> list[str]:
+    """Points ``x,-y`` joined by spaces, in blocks, from the ``x,y\\n`` text ``rows``.
+
+    ``rows`` are blocks as ``_format_rows`` yields them, by default of
+    ``(xs, ys)`` at ``%.6g``.  ``%g`` renders a finite ``-y`` as ``y`` with
+    its sign flipped, so each point is what formatting ``-y`` gives.
+    """
+    if rows is None:
+        rows = _format_rows("%.6g,%.6g\n", (xs, ys))
+    points = [b.replace(",", ",-").replace("--", "").replace("\n", " ") for b in rows]
+    points[-1] = points[-1][:-1]
+    return points
 
 
 def _document(parts, x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> str:
@@ -53,11 +62,11 @@ def _document(parts, x_lo: float, x_hi: float, y_lo: float, y_hi: float) -> str:
     return "".join([header, *parts, "</svg>\n"])
 
 
-def _polyline(xs: np.ndarray, ys: np.ndarray, y_lo: float, y_hi: float) -> list[str]:
-    """Parts of the black stroke through ``(xs, ys)``, 1/200 of the y extent wide."""
+def _polyline(points: list[str], y_lo: float, y_hi: float) -> list[str]:
+    """Parts of the black stroke through ``points``, 1/200 of the y extent wide."""
     return [
         '<polyline points="',
-        _poly_points(xs, ys),
+        *points,
         '" fill="none" stroke="#000000" stroke-width="%.6g"/>\n' % ((y_hi - y_lo) / 200.0),
     ]
 
@@ -75,16 +84,23 @@ def band_plot(x, mean, lo, hi, data_x, data_y) -> str:
     )
     parts = [
         '<polygon points="',
-        _poly_points(np.concatenate([x, x[::-1]]), np.concatenate([hi, lo[::-1]])),
+        *_poly_points(np.concatenate([x, x[::-1]]), np.concatenate([hi, lo[::-1]])),
         '" fill="#c8c8c8" stroke="none"/>\n',
-        *_polyline(x, mean, y_lo, y_hi),
+        *_polyline(_poly_points(x, mean), y_lo, y_hi),
         *_format_rows('<circle cx="%.6g" cy="%.6g" r="%.6g" fill="#000000"/>\n',
                       (data_x, -data_y, np.full(len(data_x), (x_hi - x_lo) / 120.0))),
     ]
     return _document(parts, x_lo, x_hi, y_lo, y_hi)
 
 
-def curve_plot(x, y) -> str:
-    """Single polyline through the points ``(x, y)``, two float arrays."""
+def curve_plot(x, y, rows=None) -> str:
+    """Single polyline through the points ``(x, y)``, two float arrays.
+
+    ``rows``, a list of the points' text rows for ``_poly_points``, is
+    emptied once drawn, so it is not held next to the document.
+    """
     x_lo, x_hi, y_lo, y_hi = _extents(x, y)
-    return _document(_polyline(x, y, y_lo, y_hi), x_lo, x_hi, y_lo, y_hi)
+    points = _poly_points(x, y, rows)
+    if rows is not None:
+        rows.clear()
+    return _document(_polyline(points, y_lo, y_hi), x_lo, x_hi, y_lo, y_hi)

@@ -1,8 +1,8 @@
 """End-to-end command-line behavior: files in, files/stdout out, exit codes.
 
 - Data files: headers, blank lines and a UTF-8 byte-order mark are
-  accepted; a parse error names its line; duplicate abscissae and empty
-  files are rejected.
+  accepted; a parse error, a byte that is not UTF-8 among them, names
+  its line; duplicate abscissae and empty files are rejected.
 - Each command's output: the tables and their trailer, the golden
   matrix, the density summary, the SVG plots (band under the mean line,
   points in x order for unsorted ``--queries``), a grid that ends at
@@ -10,10 +10,9 @@
   equal to ``solve``'s ``x`` column without its end rows.
 - The table and plot writer: an ``<out>.svg`` that is a directory, an
   ``--out`` in a missing directory, a failing table (its plot is still
-  written), two failures (one ``error:`` line, the plot's), a child that
-  dies silently, a plot path that names or links to the CSV, ``--out``
-  opened once, the same bytes with or without ``os.fork``, and no
-  warning from a fork with threads.
+  written), a failing plot (the table is whole), two failures (one
+  ``error:`` line, the plot's), a named pipe whose reader leaves early,
+  a plot path that names or links to the CSV, and ``--out`` opened once.
 - Exit codes: usage errors, out-of-range values and a ``--delta`` below
   the floor exit 1 and write nothing; the floor builds no grid.
 - Every coefficient: each command at ``a`` from 0 to 1e154 with no
@@ -21,7 +20,8 @@
   output byte for byte.
 - Output bytes: per-value ``.12g`` / ``.6g`` / ``.3f`` rendering, signed
   zeros and ties included, within one format block and across two block
-  boundaries.
+  boundaries; ``solve``'s plot at the table's ``.12g``, and points taken
+  from text rows equal to those formatted from the values.
 - The README: its examples run, and every test it cites exists.
 - The flag set of each command, the names ``perfbench`` calls, no
   ``scipy`` import, every public name, and the console script entry.
@@ -41,8 +41,8 @@ import inspect
 import os
 import pkgutil
 import re
+import select
 import shlex
-import signal
 import subprocess
 import sys
 import tracemalloc
@@ -115,6 +115,25 @@ class TestLoadSamples:
         path.write_text("x,y\n", encoding="utf-8")
         with pytest.raises(ValueError, match="no data rows"):
             cli.load_samples(path)
+
+    # a bad byte mid-line, a multi-byte character cut off at the end, and
+    # old Mac line breaks after a byte-order mark
+    @pytest.mark.parametrize("data, message", [
+        (b"x,y\n0.5,3\n0.1,\xff\n", "d.csv:3: not UTF-8 text: byte 0xff (invalid start byte)"),
+        (b"0.5,3\r\n0.1,1\xc3", "d.csv:2: not UTF-8 text: byte 0xc3 (unexpected end of data)"),
+        (b"\xef\xbb\xbfx,y\r0.5,3\r\r0.1,\xe9\r",
+         "d.csv:4: not UTF-8 text: byte 0xe9 (invalid continuation byte)"),
+    ], ids=["mid-line", "cut-off", "cr-after-bom"])
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, capsys, data, message):
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as excinfo:
+            cli.load_samples(path)
+        assert str(excinfo.value) == f"{tmp_path / message}"
+        out = tmp_path / "p.csv"
+        assert cli.main(["predict", "--data", str(path), "--a", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path / message}\n"
+        assert not out.exists()
 
     # spreadsheet programs save "CSV UTF-8" with a byte-order mark
     @pytest.mark.parametrize("header", ["x,y\n", "", "\n\nx,y\n"])
@@ -315,9 +334,9 @@ class TestSolveCommand:
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForkedWriter:
-    # with --format svg, predict and solve write the CSV from a forked child
-    # while the parent draws the SVG; where the parent commit has the same
-    # case, status, stderr and the files left are the same
+    # the table and plot writer of predict and solve, named for the forked
+    # writer it replaced: out is opened and the table written, then the
+    # plot is drawn and written, even after a failed table
 
     def test_plot_path_is_a_directory(self, data_file, tmp_path, capsys):
         out = tmp_path / "sol.csv"
@@ -339,7 +358,8 @@ class TestForkedWriter:
         assert not (tmp_path / "missing").exists()
 
     def test_failing_format_pass(self, data_file, tmp_path, capsys, monkeypatch):
-        # a generator, as svg._format_rows is: it fails once the blocks are drawn
+        # solve's plot takes its points from the table's text, which is
+        # formatted before out is opened: a failing format pass writes nothing
         def disk_full(*args):
             raise OSError("disk full")
             yield
@@ -350,12 +370,11 @@ class TestForkedWriter:
                        "--format", "svg"])
         assert rc == 1
         assert capsys.readouterr().err == "error: disk full\n"
-        assert out.read_text(encoding="utf-8") == "x,u\n"
-        assert not (tmp_path / "sol.svg").exists()
+        assert list(tmp_path.iterdir()) == [data_file]
 
     def test_failure_of_the_table_alone_is_reported(self, tmp_path):
-        # the plot succeeds, so the error comes from this process's own
-        # write of the table, once the plot is written
+        # the plot succeeds, so the error is the table's, raised once the
+        # plot is written
         def blocks():
             yield "x,u\n"
             raise OSError("disk full")
@@ -365,27 +384,22 @@ class TestForkedWriter:
         assert (tmp_path / "sol.csv").read_text(encoding="utf-8") == "x,u\n"
         assert (tmp_path / "sol.svg").read_text(encoding="utf-8") == "<svg/>\n"
 
-    @pytest.mark.parametrize("fork", ["missing", "EAGAIN"])
-    def test_failing_table_without_a_child_gets_its_plot(self, tmp_path, monkeypatch, fork):
-        # with no child, this process writes the table once the plot is
-        # drawn, so a table that fails partway is handled as a failed
-        # child's: the plot is written, then the table's own error raised
-        if fork == "missing":
-            monkeypatch.delattr(os, "fork")
-        else:
-            def out_of_resources():
-                raise OSError(errno.EAGAIN, "no more")
+    @pytest.mark.parametrize("command", ["predict", "solve"])
+    def test_failing_plot_keeps_the_table(self, data_file, tmp_path, capsys, monkeypatch,
+                                          command):
+        argv = [command, "--data", str(data_file), "--a", "1", "--delta", "1e-3", "--out"]
+        assert cli.main([*argv, str(tmp_path / "want.csv")]) == 0
 
-            monkeypatch.setattr(os, "fork", out_of_resources)
+        def no_plot(*args):
+            raise ValueError("cannot draw")
 
-        def blocks():
-            yield "x,u\n"
-            raise OSError("disk full")
-
-        with pytest.raises(OSError, match="^disk full$"):
-            cli._write_outputs(tmp_path / "sol.csv", blocks(), lambda: "<svg/>\n")
-        assert (tmp_path / "sol.csv").read_text(encoding="utf-8") == "x,u\n"
-        assert (tmp_path / "sol.svg").read_text(encoding="utf-8") == "<svg/>\n"
+        monkeypatch.setattr(svg, "band_plot", no_plot)
+        monkeypatch.setattr(svg, "curve_plot", no_plot)
+        out = tmp_path / "o.csv"
+        assert cli.main([*argv, str(out), "--format", "svg"]) == 1
+        assert capsys.readouterr().err == "error: cannot draw\n"
+        assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert not out.with_suffix(".svg").exists()
 
     @pytest.mark.parametrize("fmt", ["csv", "svg"])
     def test_out_is_opened_once(self, data_file, tmp_path, monkeypatch, fmt):
@@ -402,115 +416,73 @@ class TestForkedWriter:
                          "--format", fmt]) == 0
         assert opened.count(out) == 1
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_both_failures_print_one_error(self, data_file, tmp_path, capsys, monkeypatch):
-        # the table fails and so does the plot's write, which comes last:
-        # its error is the one reported
-        format_rows = svg._format_rows
-
-        def failing_table(template, columns, sep=""):
-            if template == "%.12g,%.12g\n":
-                raise OSError("disk full")
-            yield from format_rows(template, columns, sep)
-
-        monkeypatch.setattr(svg, "_format_rows", failing_table)
-        (tmp_path / "sol.svg").mkdir()
+        # the table's write fails on a full device and so does the plot's,
+        # which comes last: its error is the one reported
         out = tmp_path / "sol.csv"
+
+        def full_out(file, *args, **kwargs):
+            return open("/dev/full" if Path(file) == out else file, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", full_out, raising=False)
+        (tmp_path / "sol.svg").mkdir()
         rc = cli.main(["solve", "--data", str(data_file), "--a", "1", "--out", str(out),
                        "--format", "svg"])
         assert rc == 1
         err = capsys.readouterr().err
         assert err == f"error: [Errno 21] Is a directory: {str(tmp_path / 'sol.svg')!r}\n"
-        assert out.read_text(encoding="utf-8") == "x,u\n"
 
-    @pytest.mark.parametrize("death", ["exit", "kill"])
-    def test_silent_death_of_the_table_writer_is_recovered(self, tmp_path, death):
-        # a child that dies without an exception costs the overlap, not the
-        # command: this process writes the table again
-        parent = os.getpid()
-
-        def blocks():
-            yield "x,u\n"
-            if os.getpid() != parent:
-                if death == "exit":
-                    os._exit(3)
-                os.kill(os.getpid(), signal.SIGKILL)
-            yield "0,0\n"
-
-        assert cli._write_outputs(tmp_path / "sol.csv", blocks(), lambda: "<svg/>\n") is None
-        cli._write_outputs(tmp_path / "seq.csv", blocks(), None)
-        assert (tmp_path / "sol.csv").read_bytes() == (tmp_path / "seq.csv").read_bytes()
-        assert (tmp_path / "sol.svg").read_text(encoding="utf-8") == "<svg/>\n"
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    @pytest.mark.parametrize("command", ["predict", "solve"])
+    def test_named_pipe_whose_reader_leaves_early(self, data_file, tmp_path, command):
+        # the table's write fails with EPIPE; the plot, next to the pipe,
+        # is still written
+        out = tmp_path / "pipe.csv"
+        os.mkfifo(out)
+        # opened without waiting for a writer; select waits for the table's first bytes
+        reader = os.open(out, os.O_RDONLY | os.O_NONBLOCK)
+        with subprocess.Popen(
+                [sys.executable, "-m", "greenreg.cli", command, "--data", str(data_file),
+                 "--a", "1", "--delta", "1e-4", "--out", str(out), "--format", "svg"],
+                env=python_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                text=True) as proc:
+            try:
+                try:
+                    assert select.select([reader], [], [], 60)[0] == [reader]
+                    assert os.read(reader, 1)
+                finally:
+                    os.close(reader)
+                stdout, stderr = proc.communicate(timeout=60)
+            finally:
+                proc.kill()  # does nothing once the command has exited
+        assert (proc.returncode, stdout, stderr) == (1, "", "error: [Errno 32] Broken pipe\n")
+        assert out.with_suffix(".svg").read_text(encoding="utf-8").startswith("<svg ")
 
     @staticmethod
-    def _run_both_ways(monkeypatch, argv, out):
-        """Bytes of ``out`` and its .svg after ``argv`` with and without ``os.fork``,
-        and the number of forks made."""
-        forks = []
-        fork = os.fork
+    def _plot_of(argv, tmp_path):
+        """Bytes of the plot ``argv`` writes next to a table of its own."""
+        out = tmp_path / "ref" / "t.csv"
+        out.parent.mkdir()
+        assert cli.main([*argv, "--out", str(out), "--format", "svg"]) == 0
+        return out.with_suffix(".svg").read_bytes()
 
-        def counted_fork():
-            forks.append(1)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", counted_fork)
-        outputs = []
-        for forking in (True, False):
-            if not forking:
-                monkeypatch.delattr(os, "fork")
-            assert cli.main([*argv, "--out", str(out), "--format", "svg"]) == 0
-            outputs.append((out.read_bytes(), out.with_suffix(".svg").read_bytes()))
-        return outputs, len(forks)
-
-    def test_plot_named_like_the_table(self, data_file, tmp_path, monkeypatch):
-        # with --out s.svg the plot replaces the table, as where the two are
-        # written one after the other: the plot is written once the child
-        # has finished the table
+    def test_plot_named_like_the_table(self, data_file, tmp_path):
+        # with --out s.svg the plot replaces the table: it is written once
+        # the table is closed
         argv = ["solve", "--data", str(data_file), "--a", "1", "--delta", "1e-5"]
-        (forked, sequential), forks = self._run_both_ways(monkeypatch, argv, tmp_path / "s.svg")
-        assert forked == sequential and forks == 1
-        assert forked[0].startswith(b"<svg ")
+        out = tmp_path / "s.svg"
+        assert cli.main([*argv, "--out", str(out), "--format", "svg"]) == 0
+        assert out.read_bytes() == self._plot_of(argv, tmp_path)
+        assert out.read_bytes().startswith(b"<svg ")
 
-    def test_plot_path_linked_to_the_table(self, data_file, tmp_path, monkeypatch):
+    def test_plot_path_linked_to_the_table(self, data_file, tmp_path):
         (tmp_path / "s.svg").symlink_to(tmp_path / "s.csv")
         argv = ["solve", "--data", str(data_file), "--a", "1", "--delta", "1e-4"]
-        (forked, sequential), forks = self._run_both_ways(monkeypatch, argv, tmp_path / "s.csv")
-        assert forked == sequential and forks == 1
-        assert forked[0].startswith(b"<svg ")
-
-    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc")
-    @pytest.mark.parametrize("failing", ["fork"])
-    def test_no_child_to_be_had_falls_back(self, data_file, tmp_path, monkeypatch, failing):
-        # running out of processes costs the overlap, not the command, and
-        # leaks no descriptor
-        argv = ["predict", "--data", str(data_file), "--a", "1", "--out"]
-        assert cli.main([*argv, str(tmp_path / "forked.csv"), "--format", "svg"]) == 0
-
-        def out_of_resources(*args):
-            raise OSError(errno.EAGAIN, "no more")
-
-        monkeypatch.setattr(os, failing, out_of_resources)
-        fds = len(os.listdir("/proc/self/fd"))
-        assert cli.main([*argv, str(tmp_path / "fallback.csv"), "--format", "svg"]) == 0
-        assert len(os.listdir("/proc/self/fd")) == fds
-        for suffix in (".csv", ".svg"):
-            assert ((tmp_path / "fallback").with_suffix(suffix).read_bytes()
-                    == (tmp_path / "forked").with_suffix(suffix).read_bytes())
-
-    def test_fork_with_threads_warns_nothing(self, data_file, tmp_path, monkeypatch):
-        # Python 3.12 and later warn when a process with threads forks; the
-        # child calls no BLAS, so the warning is not let through
-        fork = os.fork
-
-        def warning_fork():
-            warnings.warn("This process is multi-threaded", DeprecationWarning)
-            return fork()
-
-        monkeypatch.setattr(os, "fork", warning_fork)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rc = cli.main(["solve", "--data", str(data_file), "--a", "1",
-                           "--out", str(tmp_path / "sol.csv"), "--format", "svg"])
-        assert rc == 0
+        out = tmp_path / "s.csv"
+        assert cli.main([*argv, "--out", str(out), "--format", "svg"]) == 0
+        assert out.read_bytes() == self._plot_of(argv, tmp_path)
+        assert out.read_bytes().startswith(b"<svg ")
 
     def test_no_child_is_left_unreaped(self, data_file, tmp_path):
         for command in ("predict", "solve"):
@@ -521,21 +493,17 @@ class TestForkedWriter:
                 os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("command", ["predict", "solve"])
-    def test_without_fork_the_bytes_are_the_same(self, data_file, tmp_path, monkeypatch,
-                                                 command):
-        argv = [command, "--data", str(data_file), "--a", "10", "--delta", "1e-3"]
-        (forked, sequential), forks = self._run_both_ways(monkeypatch, argv, tmp_path / "o.csv")
-        assert forked == sequential and forks == 1
-
-    @pytest.mark.parametrize("command", ["predict", "solve"])
     def test_table_alone_is_written_in_this_process(self, data_file, tmp_path, monkeypatch,
                                                     command):
-        def no_fork():
-            raise AssertionError("forked for a table alone")
+        # without --format svg no plot is drawn
+        def no_plot(*args):
+            raise AssertionError("drew a plot for a table alone")
 
-        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(svg, "band_plot", no_plot)
+        monkeypatch.setattr(svg, "curve_plot", no_plot)
         assert cli.main([command, "--data", str(data_file), "--a", "10",
                          "--out", str(tmp_path / "o.csv")]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "o.csv"]
 
 
 class TestExitCodes:
@@ -726,8 +694,8 @@ class TestOutputFormat:
     ])
 
     @staticmethod
-    def per_value_points(xs, ys):
-        return " ".join(f"{x:.6g},{-y:.6g}" for x, y in zip(xs, ys))
+    def per_value_points(xs, ys, spec=".6g"):
+        return [" ".join(f"{x:{spec}},{-y:{spec}}" for x, y in zip(xs, ys))]
 
     @staticmethod
     def assert_same(got: bytes, want: str):
@@ -741,6 +709,17 @@ class TestOutputFormat:
             pytest.fail(f"first difference at byte {at}: {got[lo:at + 30]!r}"
                         f" != {want[lo:at + 30]!r}")
 
+    @pytest.mark.parametrize("spec", [".6g", ".12g"])
+    def test_points_from_rows_match_per_value_rendering(self, spec):
+        # random bit patterns span every exponent and both signs; the rows
+        # cross four block boundaries
+        bits = np.random.default_rng(29).integers(0, 2**64, 20_000, dtype=np.uint64)
+        values = bits.view(np.float64)
+        v = np.concatenate([self.VALUES, values[np.isfinite(values)]])
+        rows = svg._format_rows(f"%{spec},%{spec}\n", (v, np.roll(v, 1)))
+        self.assert_same("".join(svg._poly_points(v, np.roll(v, 1), rows)).encode(),
+                         self.per_value_points(v, np.roll(v, 1), spec)[0])
+
     # 15 rows fit in one format block; 2 * _BLOCK + 3 cross two block boundaries
     @pytest.mark.parametrize("rows", [15, 2 * svg._BLOCK + 3])
     def test_predict_and_solve_match_per_value_rendering(self, data_file, tmp_path,
@@ -753,6 +732,7 @@ class TestOutputFormat:
         monkeypatch.setattr(cli, "_axis_grid", lambda delta: v)
         monkeypatch.setattr(cli, "discretized_solution", lambda *args: v[::-1])
         monkeypatch.setattr(cli, "build_cov_matrix", lambda *args: matrix)
+        monkeypatch.setattr(cli, "normalized_green", lambda *args: np.roll(v, 7))
         assert cli.main(["matrix", "--data", str(data_file), "--a", "1"]) == 0
         want = "".join(",".join(f"{c:.3f}" for c in row) + "\n" for row in matrix)
         assert "-0.000," in want
@@ -764,6 +744,10 @@ class TestOutputFormat:
             rc = cli.main([command, "--data", str(data_file), "--a", "1", "--out", str(out),
                            "--format", "svg"])
             assert rc == 0
+        dens_out = tmp_path / "dens.svg"
+        assert cli.main(["density", "--a", "1", "--y", "0.5", "--format", "svg",
+                         "--out", str(dens_out)]) == 0
+        capsys.readouterr()
 
         want = "x_star,mean,variance,std,band_lo,band_hi\n"
         for row in zip(*columns):
@@ -773,13 +757,20 @@ class TestOutputFormat:
         want = "x,u\n" + "".join(f"{x:.12g},{u:.12g}\n" for x, u in zip(v, v[::-1]))
         self.assert_same(sol_out.read_bytes(), want)
 
-        monkeypatch.setattr(svg, "_poly_points", self.per_value_points)
+        # band and density points at %.6g; solve's at the table's %.12g
+        monkeypatch.setattr(svg, "_poly_points",
+                            lambda xs, ys, rows=None: self.per_value_points(xs, ys))
         samples = cli.load_samples(data_file)
         band = svg.band_plot(pred.x_star, pred.mean, pred.band_lo, pred.band_hi,
                              samples.xi, samples.eta)
         assert "-0," in band and ",-0 " in band
         self.assert_same((tmp_path / "pred.svg").read_bytes(), band)
-        self.assert_same((tmp_path / "sol.svg").read_bytes(), svg.curve_plot(v, v[::-1]))
+        self.assert_same(dens_out.read_bytes(), svg.curve_plot(v, np.roll(v, 7)))
+        monkeypatch.setattr(svg, "_poly_points",
+                            lambda xs, ys, rows=None: self.per_value_points(xs, ys, ".12g"))
+        curve = svg.curve_plot(v, v[::-1])
+        assert "-100000000000," in curve and ",0 " in curve and re.search(r',-0[ "]', curve)
+        self.assert_same((tmp_path / "sol.svg").read_bytes(), curve)
 
 
 def test_readme_examples_run(data_file, monkeypatch, capsys):
@@ -867,19 +858,24 @@ def test_names_the_benchmark_reads():
     assert isinstance(regression.MIN_ABSCISSA_GAP, float)
 
 
-def run_python(*args, cwd=None, **popen):
-    """Run this interpreter on ``args`` with the package's source first on the path.
+def python_env():
+    """The environment with the package's source first on the path.
 
-    ``PYTHONUNBUFFERED`` is dropped, so the child's stdout is block-buffered
-    where it is not a terminal, as in a user's run; ``popen`` may redirect it.
+    ``PYTHONUNBUFFERED`` is dropped, so a child's stdout is block-buffered
+    where it is not a terminal, as in a user's run.
     """
     src = str(Path(greenreg.__file__).resolve().parents[1])
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
+
+
+def run_python(*args, cwd=None, **popen):
+    """Run this interpreter on ``args`` in ``python_env()``; ``popen`` may redirect stdout."""
     popen.setdefault("stdout", subprocess.PIPE)
-    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, stderr=subprocess.PIPE,
-                          text=True, **popen)
+    return subprocess.run([sys.executable, *args], env=python_env(), cwd=cwd,
+                          stderr=subprocess.PIPE, text=True, **popen)
 
 
 def test_cli_import_loads_no_scipy():
