@@ -79,11 +79,18 @@ def _scaled_sinh_ratio(a: float, s):
     return np.expm1(-2.0 * a * s) / np.expm1(-2.0 * a)
 
 
-def _green(a: float, x, y):
-    """``green_closed`` on float arrays already known to lie in [0, 1]; checks nothing."""
+def _green(a: float, x, y, s_lo=1.0, s_hi=1.0):
+    """``green_closed`` on float arrays already known to lie in [0, 1]; checks nothing.
+
+    G over ``s_lo`` and ``s_hi``: they divide the factors that vanish
+    as min(x, y) reaches 0 and as max(x, y) reaches 1 before the product
+    is formed, so G over factors that vanish there too keeps its digits
+    where G alone is subnormal.
+    """
     lo = np.minimum(x, y)
     hi = np.maximum(x, y)
-    return np.exp(-a * (hi - lo)) * _scaled_sinh(a, lo) * _scaled_sinh_ratio(a, 1.0 - hi)
+    return (np.exp(-a * (hi - lo)) * (_scaled_sinh(a, lo) / s_lo)
+            * (_scaled_sinh_ratio(a, 1.0 - hi) / s_hi))
 
 
 def green_closed(params: KernelParams, x, y):

@@ -127,24 +127,24 @@ def build_cov_matrix(params: KernelParams, samples: SampleSet) -> np.ndarray:
 
 
 def _bracket(a: float, xi: np.ndarray, x):
-    """Kriging weights of x on the two sites bracketing it.
+    """Bracket of x and the kriging weights of x on its two ends.
 
-    The sites are ``xi`` padded with the ends 0 and 1, returned with the
-    index k of the bracket sites[k] <= x <= sites[k + 1] (x = 1 takes
-    the last one).  The weights are sinh(a (hi - x)) / sinh(a (hi - lo))
-    and its mirror, written as exp(-a (x - lo)) (S(hi - x) / S(hi - lo))
-    with S = _scaled_sinh: no factor overflows at large a, and S is the
-    gap itself where 2 a gap is below the epsilon, so tiny a gives
-    linear interpolation, not 0/0.  Dividing first keeps a subnormal
-    weight from rounding before the division.
+    Returns the bracket's index k and its ends lo <= x <= hi: the sites
+    ``xi[k - 1]`` and ``xi[k]``, or 0 for k = 0 and 1 for k = N (x = 1
+    takes the last bracket); then the weights w_lo and w_hi.  They are
+    sinh(a (hi - x)) / sinh(a (hi - lo)) and its mirror, written as
+    exp(-a (x - lo)) (S(hi - x) / S(hi - lo)) with S = _scaled_sinh: no
+    factor overflows at large a, and S is the gap itself where 2 a gap
+    is below the epsilon, so tiny a gives linear interpolation, not 0/0.
+    Dividing first keeps a subnormal weight from rounding before the
+    division.
     """
-    sites = np.concatenate(([0.0], xi, [1.0]))
     k = np.searchsorted(xi, x, side="right")
-    lo, hi = sites[k], sites[k + 1]
+    lo, hi = np.append(0.0, xi)[k], np.append(xi, 1.0)[k]
     span = _scaled_sinh(a, hi - lo)
     w_lo = np.exp(-a * (x - lo)) * (_scaled_sinh(a, hi - x) / span)
     w_hi = np.exp(-a * (hi - x)) * (_scaled_sinh(a, x - lo) / span)
-    return sites, k, w_lo, w_hi
+    return k, lo, hi, w_lo, w_hi
 
 
 def predict(params: KernelParams, samples: SampleSet, grid: QueryGrid) -> Prediction:
@@ -184,19 +184,18 @@ def predict(params: KernelParams, samples: SampleSet, grid: QueryGrid) -> Predic
     covariance matrix.  Queries need not be sorted.
     """
     a, x = params.a, grid.x_star
-    sites, k, w_lo, w_hi = _bracket(a, samples.xi, x)
+    k, lo, hi, w_lo, w_hi = _bracket(a, samples.xi, x)
     values = np.concatenate(([0.0], samples.eta, [0.0]))
     mean = w_lo * values[k] + w_hi * values[k + 1]
-    lo, hi = sites[k], sites[k + 1]
     t_lo, t_hi = _scaled_sinh(a / 2.0, x - lo), _scaled_sinh(a / 2.0, hi - x)
     t_x, t_rest = _l1_factors(a, x)
-    t_site, t_site_rest = _l1_factors(a, sites)
     # 1 + exp(-a) is L1's constant factor; 1 + exp(-a s) is 2 - a T(s),
     # which lies in [1, 2]
     l1_const = 1.0 + np.exp(-a)
-    c_lo = np.where(k == 0, 1.0, l1_const * t_lo / ((2.0 - a * t_x) * t_site_rest[k]))
+    c_lo = np.where(k == 0, 1.0,
+                    l1_const * t_lo / ((2.0 - a * t_x) * _scaled_sinh(a / 2.0, 1.0 - lo)))
     c_hi = np.where(k == len(samples), 1.0,
-                    l1_const * t_hi / ((2.0 - a * t_rest) * t_site[k + 1]))
+                    l1_const * t_hi / ((2.0 - a * t_rest) * _scaled_sinh(a / 2.0, hi)))
     q = (a * t_lo) * (a * t_hi) / (1.0 + np.exp(-a * (hi - lo)))
     variance = _normalize(a, _green(a, x, x), t_x, t_rest) * (q + w_lo * c_lo + w_hi * c_hi)
     std = np.sqrt(variance)
@@ -215,23 +214,50 @@ def predictive_covariance(
 ) -> np.ndarray:
     """Full M x M predictive covariance.
 
-    Entry (i, j) is H(x*_i, x*_j) - sum_k w_k(x*_i) H(x*_j, xi_k), the
-    sum running over the two sites bracketing x*_i with the kriging
-    weights of :func:`predict`: the two-neighbour form of the dense
-    query_cov - cross_cov^T data_cov^{-1} cross_cov, at O(1) per entry.
-    Not symmetric, since H is not.  Its diagonal, where that difference
-    cancels, is :func:`predict`'s variance, to the bit.
+    Entry (i, j) is E(x, z) = H(x, z) - sum_k w_k(x) H(z, xi_k) at
+    x = x*_i and z = x*_j, the sum running over the two sites bracketing
+    x with the kriging weights of :func:`predict`: the two-neighbour form
+    of the dense query_cov - cross_cov^T data_cov^{-1} cross_cov, at O(1)
+    per entry.  Not symmetric, since H is not.
+
+    That difference cancels for z next to x's bracket sites, so it is
+    taken apart along G's Markov structure.  With T = ``_scaled_sinh`` at
+    a / 2, so that L1(y) = T(y) T(1 - y) / (1 + exp(-a)):
+
+        E(x, z) = G_I(x, z) / L1(z)
+                  + sum_k w_k(x) H(z, xi_k) (L1(xi_k) - L1(z)) / L1(z)
+        G_I(x, z) = exp(-a |x - z|) S(min(x, z) - lo) S(hi - max(x, z)) / S(hi - lo)
+        L1(xi) - L1(z) = sgn(xi - z) sgn(r) exp(-a m) T(|xi - z|) T(|r|) / (1 + exp(-a))
+
+    G_I is the Green's function of x's bracket [lo, hi], with
+    S = ``_scaled_sinh``; both gaps clamp at 0, so it is exactly 0 for z
+    off the bracket.  In the L1 gap, m = min(z, xi, 1 - z, 1 - xi) and
+    r = (1 - max(z, xi)) - min(z, xi), formed in that order so that it
+    is exact where it is small.  The end of the interval in a bracket is
+    no site and adds no term.  The factors of G that vanish as z reaches
+    0 or 1 are divided by T(z) and T(1 - z) before any product, so an
+    entry keeps its digits where G(., z) alone would be subnormal.
+
+    Where the two site terms have opposite signs and cancel, E crosses
+    zero and its error is a few ulp of the terms, not of E.  Its
+    diagonal is :func:`predict`'s variance, to the bit.
     """
     a, x, z = params.a, grid.x_star[:, None], grid.x_star
-    sites, k, w_lo, w_hi = _bracket(a, samples.xi, x)
-    # G vanishes at the pinned ends, so any nonzero factors there give
-    # them a zero term
+    k, lo, hi, w_lo, w_hi = _bracket(a, samples.xi, x)
+    # t_z t_rest = L1(z)
+    t_z, t_rest = _scaled_sinh(a / 2.0, z), _scaled_sinh(a / 2.0, 1.0 - z) / (1.0 + np.exp(-a))
+    near, far = np.minimum(x, z), np.maximum(x, z)
+    cov = (np.exp(-a * (far - near)) * (_scaled_sinh(a, np.maximum(near - lo, 0.0)) / t_z)
+           * (_scaled_sinh(a, np.maximum(hi - far, 0.0)) / t_rest) / _scaled_sinh(a, hi - lo))
+    # G vanishes at the pinned ends, so the factors 1 there give them a
+    # zero term
     s_y, s_rest = (np.concatenate(([1.0], f, [1.0])) for f in _l1_factors(a, samples.xi))
-    explained = (
-        w_lo * _normalize(a, _green(a, z, sites[k]), s_y[k], s_rest[k])
-        + w_hi * _normalize(a, _green(a, z, sites[k + 1]), s_y[k + 1], s_rest[k + 1])
-    )
-    cov = _normalize(a, _green(a, x, z), *_l1_factors(a, z)) - explained
+    for w, site, j in ((w_lo, lo, k), (w_hi, hi, k + 1)):
+        near, far = np.minimum(z, site), np.maximum(z, site)
+        r = (1.0 - far) - near
+        cov += (w * _green(a, site, z, t_z, t_rest) * (np.sign(site - z) * np.sign(r))
+                * np.exp(-a * np.minimum(near, 1.0 - far)) * _scaled_sinh(a / 2.0, far - near)
+                / s_y[j] * _scaled_sinh(a / 2.0, np.abs(r)) / s_rest[j])
     np.fill_diagonal(cov, predict(params, samples, grid).variance)
     return cov
 
@@ -268,6 +294,6 @@ def discretized_solution(params: KernelParams, samples: SampleSet, delta: float,
     for d, v in zip([0.0] + decay[::-1], (eta * r).tolist()[::-1]):
         q.append(q[-1] * d + v)
     u = np.concatenate(([0.0], r * p[1:] + np.append(decay, 0.0) * s * q[-2::-1], [0.0]))
-    _, k, w_lo, w_hi = _bracket(a, xi, xv)
+    k, _, _, w_lo, w_hi = _bracket(a, xi, xv)
     out = delta * (w_lo * u[k] + w_hi * u[k + 1])
     return out if np.ndim(x) else float(out)

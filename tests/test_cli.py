@@ -332,12 +332,12 @@ class TestSolveCommand:
 
 
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestForkedWriter:
-    # the table and plot writer of predict and solve, named for the forked
-    # writer it replaced: out is opened and the table written, then the
-    # plot is drawn and written, even after a failed table
+    # the table and plot writer of predict and solve: out is opened and the
+    # table written, then the plot is drawn and written, even after a
+    # failed table
 
+    @pytest.mark.skipif(os.name != "posix", reason="EISDIR is POSIX's error for a directory")
     def test_plot_path_is_a_directory(self, data_file, tmp_path, capsys):
         out = tmp_path / "sol.csv"
         (tmp_path / "sol.svg").mkdir()

@@ -15,8 +15,13 @@ two-neighbour predictor and covariance.
   site for ``a`` from 0 to 1e150, and between sites from 2 ulps to
   ``MIN_ABSCISSA_GAP`` apart, which ``SampleSet`` accepts; queries from
   5e-324 to 1 - 2^-52, with a subnormal mean within one unit.
-- ``predictive_covariance``: the dense oracle within
-  ``1e-14 * max H(x, x)``, its diagonal equal to ``predict``'s variance
+- ``predictive_covariance``: each entry within 1e-13 relative of the
+  400-digit ``refvals.mp_covariance`` wherever it is a normal double,
+  for ``a`` from 0 to 1e4, at queries 1e-12 to 1e-9 from a site or from
+  1 - xi_k, midway between sites and at 5e-324, 1e-300 and 1 - 1e-16,
+  in the same bracket and in different ones, and at the two entries the
+  dense-form subtraction lost; the float dense oracle within
+  ``1e-14 * max H(x, x)``; its diagonal equal to ``predict``'s variance
   bit for bit, and the ``a = 0`` output at tiny ``a``.
 - ``discretized_solution``: exact end zeros, linearity in the ordinates,
   the series superposition, the dense sum within 1e-12 of its scale for
@@ -391,6 +396,35 @@ class TestPredictiveCovariance:
                      lambda p: predict(p, samples, grid).variance,
                      lambda p: predictive_covariance(p, samples, grid)):
             assert form(KernelParams(a=a)).tobytes() == form(KernelParams(a=0.0)).tobytes()
+
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, 10.0, 100.0, 1e4])
+    @pytest.mark.parametrize("xi", [refvals.XI, np.array([0.12, 0.33, 0.61, 0.8])],
+                             ids=["readme", "uneven"])
+    def test_entries_match_mpmath_one_by_one(self, xi, a):
+        # every pair of: queries 1e-12 and 1e-9 either side of each site and
+        # of each 1 - xi_k, midway between sites and ends, and at 5e-324,
+        # 1e-300 and 1 - 1e-16; the pairs share a bracket or not
+        x = np.unique(np.concatenate((
+            xi + 1e-12, xi - 1e-12, xi + 1e-9, xi - 1e-9, 1.0 - xi + 1e-12, 1.0 - xi - 1e-9,
+            (xi[1:] + xi[:-1]) / 2, [xi[0] / 2, (1.0 + xi[-1]) / 2, 5e-324, 1e-300, 1.0 - 1e-16],
+        )))
+        samples = SampleSet(xi=xi, eta=np.ones_like(xi))
+        got = predictive_covariance(KernelParams(a=a), samples, QueryGrid(x_star=x))
+        want = refvals.mp_covariance(a, xi, x)
+        normal = np.abs(want) >= np.finfo(float).tiny
+        assert np.all(np.abs(got - want)[normal] <= 1e-13 * np.abs(want[normal]))
+        # where the entry is below the normal range, so is the output
+        assert np.all(np.abs(got[~normal]) < np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("a, x, z", [(1.0, 0.3 + 1e-12, 0.3 + 2e-12),
+                                         (100.0, 0.29999, 0.7 - 1e-13)])
+    def test_entries_the_subtraction_lost(self, samples, a, x, z):
+        # H(x, z) - sum w H(z, xi) was 1.5e-4 off the first entry, and gave
+        # +6.9e-31 for the second, which is -2.807e-40
+        got = predictive_covariance(KernelParams(a=a), samples, QueryGrid(x_star=[x, z]))
+        want = refvals.mp_covariance(a, samples.xi, [x, z])
+        assert abs(got[0, 1] - want[0, 1]) <= 1e-13 * abs(want[0, 1])
 
 
 class TestDiscretizedSolution:
