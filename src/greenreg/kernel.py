@@ -85,7 +85,11 @@ def _green(a: float, x, y, s_lo=1.0, s_hi=1.0):
     G over ``s_lo`` and ``s_hi``: they divide the factors that vanish
     as min(x, y) reaches 0 and as max(x, y) reaches 1 before the product
     is formed, so G over factors that vanish there too keeps its digits
-    where G alone is subnormal.
+    where G alone is subnormal.  With ``_l1_factors(a, y)`` as the two
+    divisors this is the normalized kernel H(x, y) = G(x, y) / L1(y):
+    y is min(x, y) or max(x, y), so each divisor vanishes with the
+    factor it divides, no quotient overflows, and a subnormal y keeps
+    its digits.
     """
     lo = np.minimum(x, y)
     hi = np.maximum(x, y)
@@ -110,21 +114,16 @@ def green_closed(params: KernelParams, x, y):
 
 
 def _l1_factors(a: float, y):
-    """The factors S(y) and S(1 - y) of L1(y) = S(y) S(1 - y) / (1 + exp(-a)).
+    """Two factors of L1(y): S(y) and S(1 - y) / (1 + exp(-a)), whose product is L1(y).
 
-    S = _scaled_sinh at a / 2, that is S(s) = (1 - exp(-a s)) / a.
+    S = _scaled_sinh at a / 2, that is S(s) = (1 - exp(-a s)) / a.  The
+    first vanishes as y reaches 0 and the second as y reaches 1, so
+    ``_green(a, x, y, *_l1_factors(a, y))`` is H(x, y).  Dividing by
+    them in turn keeps H finite where their product underflows: near an
+    end at large a, L1(y) is about y / a and can fall below the double
+    range while H is about a.
     """
-    return _scaled_sinh(a / 2.0, y), _scaled_sinh(a / 2.0, 1.0 - y)
-
-
-def _normalize(a: float, g, s_y, s_rest):
-    """H = G(x, y) / L1(y) from G and the factors ``_l1_factors(a, y)``.
-
-    Dividing by the two factors in turn keeps H finite where their
-    product underflows: near an end at large a, L1(y) is about y / a
-    and can fall below the double range while H is about a.
-    """
-    return g / s_y / s_rest * (1.0 + np.exp(-a))
+    return _scaled_sinh(a / 2.0, y), _scaled_sinh(a / 2.0, 1.0 - y) / (1.0 + np.exp(-a))
 
 
 def l1_norm(params: KernelParams, y):
@@ -138,9 +137,8 @@ def l1_norm(params: KernelParams, y):
     ``MAX_COEFFICIENT``.  Only defined for y strictly inside (0, 1): the
     norm vanishes at the endpoints and the normalized kernel degenerates.
     """
-    y = _as_open_unit("y", y)
-    s_y, s_rest = _l1_factors(params.a, y)
-    out = s_y * s_rest / (1.0 + np.exp(-params.a))
+    s_y, s_rest = _l1_factors(params.a, _as_open_unit("y", y))
+    out = s_y * s_rest
     return out if out.ndim else float(out)
 
 
@@ -149,11 +147,12 @@ def normalized_green(params: KernelParams, x, y):
 
     For each fixed y in (0, 1) the section x -> H(x, y) is a probability
     density on [0, 1].  Unlike G itself, H is not symmetric: the
-    normalization acts on the second argument only.  H is formed from
-    the factors of the norm, not from the norm itself, so it stays
-    finite where the norm underflows.
+    normalization acts on the second argument only.  Each factor of G
+    that vanishes at an end is divided by the factor of the norm that
+    vanishes there too, before any product is formed, so H stays finite
+    where the norm underflows and keeps its digits down to subnormal y.
     """
     y = _as_open_unit("y", y)
-    out = _normalize(params.a, _green(params.a, _as_unit("x", x), y), *_l1_factors(params.a, y))
+    out = _green(params.a, _as_unit("x", x), y, *_l1_factors(params.a, y))
     return out if np.ndim(out) else float(out)
 

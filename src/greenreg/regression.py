@@ -22,7 +22,6 @@ from .kernel import (
     _as_unit,
     _green,
     _l1_factors,
-    _normalize,
     _scaled_sinh,
     _scaled_sinh_ratio,
 )
@@ -123,7 +122,7 @@ def build_cov_matrix(params: KernelParams, samples: SampleSet) -> np.ndarray:
     argument only.
     """
     xi = samples.xi
-    return _normalize(params.a, _green(params.a, xi[:, None], xi), *_l1_factors(params.a, xi))
+    return _green(params.a, xi[:, None], xi, *_l1_factors(params.a, xi))
 
 
 def _bracket(a: float, xi: np.ndarray, x):
@@ -188,16 +187,14 @@ def predict(params: KernelParams, samples: SampleSet, grid: QueryGrid) -> Predic
     values = np.concatenate(([0.0], samples.eta, [0.0]))
     mean = w_lo * values[k] + w_hi * values[k + 1]
     t_lo, t_hi = _scaled_sinh(a / 2.0, x - lo), _scaled_sinh(a / 2.0, hi - x)
-    t_x, t_rest = _l1_factors(a, x)
-    # 1 + exp(-a) is L1's constant factor; 1 + exp(-a s) is 2 - a T(s),
-    # which lies in [1, 2]
+    # 1 + exp(-a) is L1's constant factor
     l1_const = 1.0 + np.exp(-a)
     c_lo = np.where(k == 0, 1.0,
-                    l1_const * t_lo / ((2.0 - a * t_x) * _scaled_sinh(a / 2.0, 1.0 - lo)))
+                    l1_const * t_lo / ((1.0 + np.exp(-a * x)) * _scaled_sinh(a / 2.0, 1.0 - lo)))
     c_hi = np.where(k == len(samples), 1.0,
-                    l1_const * t_hi / ((2.0 - a * t_rest) * _scaled_sinh(a / 2.0, hi)))
+                    l1_const * t_hi / ((1.0 + np.exp(-a * (1.0 - x))) * _scaled_sinh(a / 2.0, hi)))
     q = (a * t_lo) * (a * t_hi) / (1.0 + np.exp(-a * (hi - lo)))
-    variance = _normalize(a, _green(a, x, x), t_x, t_rest) * (q + w_lo * c_lo + w_hi * c_hi)
+    variance = _green(a, x, x, *_l1_factors(a, x)) * (q + w_lo * c_lo + w_hi * c_hi)
     std = np.sqrt(variance)
     return Prediction(
         x_star=x,
@@ -245,13 +242,14 @@ def predictive_covariance(
     a, x, z = params.a, grid.x_star[:, None], grid.x_star
     k, lo, hi, w_lo, w_hi = _bracket(a, samples.xi, x)
     # t_z t_rest = L1(z)
-    t_z, t_rest = _scaled_sinh(a / 2.0, z), _scaled_sinh(a / 2.0, 1.0 - z) / (1.0 + np.exp(-a))
+    t_z, t_rest = _l1_factors(a, z)
     near, far = np.minimum(x, z), np.maximum(x, z)
     cov = (np.exp(-a * (far - near)) * (_scaled_sinh(a, np.maximum(near - lo, 0.0)) / t_z)
            * (_scaled_sinh(a, np.maximum(hi - far, 0.0)) / t_rest) / _scaled_sinh(a, hi - lo))
-    # G vanishes at the pinned ends, so the factors 1 there give them a
-    # zero term
-    s_y, s_rest = (np.concatenate(([1.0], f, [1.0])) for f in _l1_factors(a, samples.xi))
+    # s_y s_rest = L1(xi) (1 + exp(-a)); G vanishes at the pinned ends, so
+    # the factors 1 there give them a zero term
+    s_y, s_rest = (np.concatenate(([1.0], _scaled_sinh(a / 2.0, f), [1.0]))
+                   for f in (samples.xi, 1.0 - samples.xi))
     for w, site, j in ((w_lo, lo, k), (w_hi, hi, k + 1)):
         near, far = np.minimum(z, site), np.maximum(z, site)
         r = (1.0 - far) - near

@@ -4,7 +4,8 @@
   accepted; a parse error, a byte that is not UTF-8 among them, names
   its line; duplicate abscissae and empty files are rejected.
 - Each command's output: the tables and their trailer, the golden
-  matrix, the density summary, the SVG plots (band under the mean line,
+  matrix, the density summary, ``matrix`` and the density curve at a
+  subnormal abscissa, the SVG plots (band under the mean line,
   points in x order for unsorted ``--queries``), a grid that ends at
   exactly 1 at steps such as 1/161, and ``predict``'s ``x_star`` column
   equal to ``solve``'s ``x`` column without its end rows.
@@ -255,6 +256,15 @@ class TestMatrixCommand:
         got = np.array([[float(v) for v in line.split(",")] for line in lines])
         assert_allclose(got, refvals.COV_A1, atol=1e-12)
 
+    def test_subnormal_site_column(self, tmp_path, capsys):
+        # H(xi, 5e-324) from 60-digit mpmath is 2.164, 1.397 and 0.960;
+        # forming G before dividing by L1 printed 2.164 three times
+        data = tmp_path / "d.csv"
+        data.write_text("x,y\n5e-324,1\n0.3,2\n0.5,3\n", encoding="utf-8")
+        assert cli.main(["matrix", "--data", str(data), "--a", "1"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[0] for line in lines] == ["2.164", "1.397", "0.960"]
+
 
 class TestDensityCommand:
     def test_prints_summary(self, capsys):
@@ -272,6 +282,18 @@ class TestDensityCommand:
         assert rc == 0
         root = ET.fromstring(out.read_text(encoding="utf-8"))
         assert [c.tag for c in root] == [f"{SVG_NS}polyline"]
+
+    def test_svg_curve_at_a_subnormal_anchor(self, tmp_path):
+        # at a = 0 and y = 5e-324, H(x, y) is 2 (1 - x) for x >= y and 0 at
+        # x = 0; forming G before dividing by L1 drew a flat line at 2
+        out = tmp_path / "curve.svg"
+        rc = cli.main(["density", "--a", "0", "--y", "5e-324", "--format", "svg",
+                       "--out", str(out)])
+        assert rc == 0
+        xs = regression._axis_grid(0.01)
+        want = np.where(xs == 0.0, 0.0, 2.0 * (1.0 - xs))
+        points = ET.fromstring(out.read_text(encoding="utf-8"))[0].get("points")
+        assert points == TestOutputFormat.per_value_points(xs, want)[0]
 
     def test_svg_needs_out_path(self, capsys):
         rc = cli.main(["density", "--a", "1", "--y", "0.5", "--format", "svg"])

@@ -12,7 +12,9 @@
   quadrature, and ``mpmath`` within 1e-15 relative from ``a = 0`` to
   ``MAX_COEFFICIENT``; anchors outside (0, 1) are rejected.
 - ``normalized_green``: frozen values, asymmetry, unit mass by quadrature,
-  and finite values where ``L1`` underflows (``a = 1e154``).
+  finite values where ``L1`` underflows (``a = 1e154``), and 60-digit
+  ``mpmath`` agreement within 1e-13 relative for anchors from 5e-324 to
+  1 - 1e-16 and ``a`` from 0 to 100, wherever H is a normal double.
 - The reference derivatives of G match central differences and jump by
   one across the diagonal.
 - The inner product of ``reference`` reproduces point evaluation, and its
@@ -293,6 +295,25 @@ class TestNormalizedGreen:
             want = g / l1
         got = normalized_green(KernelParams(a=a), y, y)
         assert abs(got - want) <= 1e-14 * want
+
+    # x at y and one ulp either side, at the ends, subnormal, next to 1
+    # and spread over [0, 1]
+    @pytest.mark.parametrize("a", [0.0, 1.0, 10.0, 100.0])
+    @pytest.mark.parametrize("y", [5e-324, 1e-320, 1e-310, 1e-300, 1e-9, 0.5, 1.0 - 1e-16])
+    def test_matches_mpmath_down_to_subnormal_anchors(self, a, y):
+        x = np.unique([
+            0.0, y / 2.0, np.nextafter(y, 0.0), y, np.nextafter(y, 1.0), min(2.0 * y, 1.0),
+            5e-324, 1e-320, 1e-310, 1e-300, 1e-9, 0.05, 0.3, 0.5, 0.7,
+            1.0 - 1e-16, np.nextafter(1.0, 0.0), 1.0,
+        ])
+        got = normalized_green(KernelParams(a=a), x, y)
+        with mpmath.workdps(60):
+            want = [refvals._mp_h(mpmath.mpf(a), mpmath.mpf(v), mpmath.mpf(y)) for v in x]
+        for v, g, w in zip(x, got, want):
+            if w == 0:
+                assert g == 0.0, v
+            elif w >= sys.float_info.min:
+                assert abs(g - w) <= 1e-13 * w, (v, g, float(w))
 
 
 class TestDerivativeBranches:

@@ -5,6 +5,9 @@ two-neighbour predictor and covariance.
 
 - ``SampleSet`` and ``QueryGrid`` reject unsorted, out-of-range,
   non-finite and mismatched input with their own message.
+- ``build_cov_matrix``: the three-decimal reference, and 60-digit
+  ``mpmath`` within 1e-13 relative on sites down to 5e-324, wherever an
+  entry is a normal double.
 - ``predict``: exact interpolation, frozen values at 0.4, the variance
   decomposition terms at 1e-11, the two-sigma band, and the dense oracle
   within 1e-9 for ``N`` up to 200 and ``a`` up to 100.  It checks no
@@ -29,9 +32,11 @@ two-neighbour predictor and covariance.
   --format svg`` end to end.
 """
 
+import sys
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -128,6 +133,19 @@ class TestCovarianceBlocks:
         assert_allclose(cov[2, 0], refvals.EXACT["h_51_a1"], rtol=1e-13)
         assert_allclose(cov[0, 1], refvals.EXACT["h_13_a1"], rtol=1e-13)
         assert cov[0, 1] != pytest.approx(cov[1, 0], abs=0.1)
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, 10.0, 100.0])
+    def test_subnormal_sites_match_mpmath(self, a):
+        # G(xi_i, 5e-324) is subnormal; H keeps its digits wherever it is
+        # a normal double
+        xi = [5e-324, 1e-310, 0.3, 0.5]
+        cov = build_cov_matrix(KernelParams(a=a), SampleSet(xi=xi, eta=[1.0, 2.0, 3.0, 4.0]))
+        with mpmath.workdps(60):
+            want = [[refvals._mp_h(mpmath.mpf(a), mpmath.mpf(s), mpmath.mpf(t)) for t in xi]
+                    for s in xi]
+        for i, j in np.ndindex(cov.shape):
+            if want[i][j] >= sys.float_info.min:
+                assert abs(cov[i, j] - want[i][j]) <= 1e-13 * want[i][j], (i, j)
 
     def test_cross_block_anchors_sections_at_data_sites(self, samples):
         # the layout the dense oracle relies on
