@@ -218,44 +218,62 @@ def predictive_covariance(
     per entry.  Not symmetric, since H is not.
 
     That difference cancels for z next to x's bracket sites, so it is
-    taken apart along G's Markov structure.  With T = ``_scaled_sinh`` at
-    a / 2, so that L1(y) = T(y) T(1 - y) / (1 + exp(-a)):
+    taken apart along G's Markov structure:
 
-        E(x, z) = G_I(x, z) / L1(z)
-                  + sum_k w_k(x) H(z, xi_k) (L1(xi_k) - L1(z)) / L1(z)
+        E(x, z) = G_I(x, z) / L1(z) + w_lo(x) Phi(lo, z) + w_hi(x) Phi(hi, z)
         G_I(x, z) = exp(-a |x - z|) S(min(x, z) - lo) S(hi - max(x, z)) / S(hi - lo)
-        L1(xi) - L1(z) = sgn(xi - z) sgn(r) exp(-a m) T(|xi - z|) T(|r|) / (1 + exp(-a))
+        Phi(xi, z) = H(z, xi) (L1(xi) - L1(z)) / L1(z)
 
     G_I is the Green's function of x's bracket [lo, hi], with
     S = ``_scaled_sinh``; both gaps clamp at 0, so it is exactly 0 for z
-    off the bracket.  In the L1 gap, m = min(z, xi, 1 - z, 1 - xi) and
-    r = (1 - max(z, xi)) - min(z, xi), formed in that order so that it
-    is exact where it is small.  The end of the interval in a bracket is
-    no site and adds no term.  The factors of G that vanish as z reaches
-    0 or 1 are divided by T(z) and T(1 - z) before any product, so an
-    entry keeps its digits where G(., z) alone would be subnormal.
+    off the bracket.  Its factors that vanish as z reaches 0 or 1 are
+    divided by the two factors of L1(z) before any product.  Phi depends
+    on the site and not on x, so it is formed once per distinct site on
+    a (sites x M) block and gathered to the queries.  The ends 0 and 1
+    of a bracket are no site and their rows are 0; Phi does not vanish
+    as xi reaches 0, so an end cannot stand in for a site.
+
+    With T = ``_scaled_sinh`` at a / 2, L1(y) = T(y) T(1 - y) / (1 + exp(-a)).
+    Let n = min(xi, z), f = max(xi, z) and r = (1 - f) - n, formed in
+    that order so that it is exact where it is small.  G's closed form
+    and the L1 gap sgn(xi - z) sgn(r) exp(-a min(n, 1 - f)) T(f - n) T(|r|)
+    / (1 + exp(-a)) give
+
+        Phi(xi, z) = sgn(xi - z) sgn(r) exp(-a min(f, 1 - n))
+                     (1 + exp(-a n)) (1 + exp(-a (1 - f))) / (2 T(1))
+                     T(f - n) / T(f) T(|r|) / T(1 - n)
+
+    The factors of G that vanish as n reaches 0 and f reaches 1 enter
+    only as their quotients by T, in closed form: S(s) / T(s) =
+    (1 + exp(-a s)) / 2 and R(s) / T(s) = (1 + exp(-a s)) / (2 S(1)),
+    with R = ``_scaled_sinh_ratio``.  So nothing that vanishes is
+    divided, whichever of xi and z is subnormal.  Every exponent is
+    <= 0 and both T quotients are at most 1, so Phi is finite up to
+    ``MAX_COEFFICIENT``.
 
     Where the two site terms have opposite signs and cancel, E crosses
     zero and its error is a few ulp of the terms, not of E.  Its
     diagonal is :func:`predict`'s variance, to the bit.
     """
-    a, x, z = params.a, grid.x_star[:, None], grid.x_star
-    k, lo, hi, w_lo, w_hi = _bracket(a, samples.xi, x)
+    a, x, z, xi = params.a, grid.x_star[:, None], grid.x_star, samples.xi
+    k, lo, hi, w_lo, w_hi = _bracket(a, xi, x)
     # t_z t_rest = L1(z)
     t_z, t_rest = _l1_factors(a, z)
     near, far = np.minimum(x, z), np.maximum(x, z)
     cov = (np.exp(-a * (far - near)) * (_scaled_sinh(a, np.maximum(near - lo, 0.0)) / t_z)
            * (_scaled_sinh(a, np.maximum(hi - far, 0.0)) / t_rest) / _scaled_sinh(a, hi - lo))
-    # s_y s_rest = L1(xi) (1 + exp(-a)); G vanishes at the pinned ends, so
-    # the factors 1 there give them a zero term
-    s_y, s_rest = (np.concatenate(([1.0], _scaled_sinh(a / 2.0, f), [1.0]))
-                   for f in (samples.xi, 1.0 - samples.xi))
-    for w, site, j in ((w_lo, lo, k), (w_hi, hi, k + 1)):
-        near, far = np.minimum(z, site), np.maximum(z, site)
+    for w, j in ((w_lo, k - 1), (w_hi, k)):
+        ends, row = np.unique(j, return_inverse=True)
+        site = xi[np.clip(ends, 0, len(xi) - 1), None]
+        near, far = np.minimum(site, z), np.maximum(site, z)
         r = (1.0 - far) - near
-        cov += (w * _green(a, site, z, t_z, t_rest) * (np.sign(site - z) * np.sign(r))
-                * np.exp(-a * np.minimum(near, 1.0 - far)) * _scaled_sinh(a / 2.0, far - near)
-                / s_y[j] * _scaled_sinh(a / 2.0, np.abs(r)) / s_rest[j])
+        # the ends 0 and 1 of (0, 1) are no site: their rows are 0
+        phi = (((ends >= 0) & (ends < len(xi)))[:, None] * np.sign(site - z) * np.sign(r)
+               * (1.0 + np.exp(-a * near)) * (1.0 + np.exp(-a * (1.0 - far)))
+               / (2.0 * _scaled_sinh(a / 2.0, 1.0)) * np.exp(-a * np.minimum(far, 1.0 - near))
+               * (_scaled_sinh(a / 2.0, far - near) / _scaled_sinh(a / 2.0, far))
+               * (_scaled_sinh(a / 2.0, np.abs(r)) / _scaled_sinh(a / 2.0, 1.0 - near)))
+        cov += w * phi[row.ravel()]
     np.fill_diagonal(cov, predict(params, samples, grid).variance)
     return cov
 

@@ -23,9 +23,11 @@ two-neighbour predictor and covariance.
   for ``a`` from 0 to 1e4, at queries 1e-12 to 1e-9 from a site or from
   1 - xi_k, midway between sites and at 5e-324, 1e-300 and 1 - 1e-16,
   in the same bracket and in different ones, and at the two entries the
-  dense-form subtraction lost; the float dense oracle within
-  ``1e-14 * max H(x, x)``; its diagonal equal to ``predict``'s variance
-  bit for bit, and the ``a = 0`` output at tiny ``a``.
+  dense-form subtraction lost, and on sites from 5e-324 to 1 - 2^-53;
+  the float dense oracle within ``1e-14 * max H(x, x)``; its diagonal
+  equal to ``predict``'s variance bit for bit, and the ``a = 0`` output
+  at tiny ``a``; a peak of at most 8 results for 50 sites and 1 000
+  queries, and finite, quiet entries up to ``MAX_COEFFICIENT``.
 - ``discretized_solution``: exact end zeros, linearity in the ordinates,
   the series superposition, the dense sum within 1e-12 of its scale for
   ``a`` up to 1e6, and bounded memory, also for ``solve --delta 1e-5
@@ -443,6 +445,43 @@ class TestPredictiveCovariance:
         got = predictive_covariance(KernelParams(a=a), samples, QueryGrid(x_star=[x, z]))
         want = refvals.mp_covariance(a, samples.xi, [x, z])
         assert abs(got[0, 1] - want[0, 1]) <= 1e-13 * abs(want[0, 1])
+
+    @pytest.mark.parametrize("a", [0.0, 1.0, 10.0, 100.0, 1e4])
+    def test_subnormal_sites_match_mpmath(self, a):
+        # a site term that paired the vanishing factor of G(xi, z) with one
+        # of L1(z) gave -0.3 for -0.6 at x = 5e-324, z = 0.7 and a = 0; the
+        # queries stay off the brackets between 1 - 2^-53 and 1 and between
+        # 0 and 5e-324, where a near-end site's term cancels G_I / L1(z)
+        xi = np.array([5e-324, 1e-300, 0.3, np.nextafter(0.3, 1.0), 0.5, 1.0 - 2.0**-53])
+        x = np.array([5e-324, 1e-300, 0.1, 0.3, 0.4, 0.7, 0.999])
+        samples = SampleSet(xi=xi, eta=np.ones_like(xi))
+        got = predictive_covariance(KernelParams(a=a), samples, QueryGrid(x_star=x))
+        want = refvals.mp_covariance(a, xi, x)
+        normal = np.abs(want) >= np.finfo(float).tiny
+        assert np.all(np.abs(got - want)[normal] <= 1e-13 * np.abs(want[normal]))
+        assert np.all(np.abs(got[~normal]) < np.finfo(float).tiny)
+
+    def test_peak_memory_is_a_few_results(self):
+        # each site term is formed once per distinct site, on a (sites x M)
+        # block, not once per query on an M x M one
+        params, samples, _ = _random_case(50, 1.0)
+        grid = QueryGrid(x_star=np.random.default_rng(50).uniform(0.0, 1.0, 1000))
+        tracemalloc.start()
+        try:
+            cov = predictive_covariance(params, samples, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * cov.nbytes
+
+    @pytest.mark.parametrize("a", [1e150, kernel.MAX_COEFFICIENT])
+    def test_large_coefficient_is_quiet_and_finite(self, a):
+        samples = SampleSet(xi=[5e-324, 1e-310, 0.3, 0.5, 1.0 - 1e-16], eta=[1.0] * 5)
+        grid = QueryGrid(x_star=[5e-324, 1e-320, 1e-300, 0.4, 1.0 - 1e-16])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cov = predictive_covariance(KernelParams(a=a), samples, grid)
+        assert np.all(np.isfinite(cov))
 
 
 class TestDiscretizedSolution:
