@@ -100,7 +100,7 @@ def _write_outputs(out: Path, table, plot) -> None:
             out.with_suffix(".svg").write_text(plot(), encoding="utf-8")
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
+def cmd_predict(args: argparse.Namespace) -> None:
     """Write the predictive table as CSV; with format=svg also a band plot."""
     samples = load_samples(args.data)
     if args.queries is not None:
@@ -118,19 +118,17 @@ def cmd_predict(args: argparse.Namespace) -> int:
         plot = partial(svg.band_plot, pred.x_star, pred.mean, pred.band_lo, pred.band_hi,
                        samples.xi, samples.eta)
     _write_outputs(args.out, table, plot)
-    return 0
 
 
-def cmd_matrix(args: argparse.Namespace) -> int:
+def cmd_matrix(args: argparse.Namespace) -> None:
     """Print the data covariance matrix to stdout, three decimals."""
     samples = load_samples(args.data)
     matrix = build_cov_matrix(KernelParams(a=args.a), samples)
     template = ",".join(["%.3f"] * matrix.shape[1]) + "\n"
     sys.stdout.writelines(svg._format_rows(template, matrix.T))
-    return 0
 
 
-def cmd_density(args: argparse.Namespace) -> int:
+def cmd_density(args: argparse.Namespace) -> None:
     """Print density stats for the section at ``args.y``; optionally plot it."""
     if args.format == "svg" and args.out is None:
         raise ValueError("--format svg requires --out for the curve file")
@@ -146,10 +144,9 @@ def cmd_density(args: argparse.Namespace) -> int:
         xs = _axis_grid(args.delta)
         ys = normalized_green(params, xs, args.y)
         args.out.write_text(svg.curve_plot(xs, ys), encoding="utf-8")
-    return 0
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
+def cmd_solve(args: argparse.Namespace) -> None:
     """Write the superposed-response curve as x,u CSV; optionally plot it."""
     samples = load_samples(args.data)
     xs = _axis_grid(args.delta)
@@ -160,7 +157,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         rows = list(rows)  # the plot takes its points from the table's text
         plot = partial(svg.curve_plot, xs, us, rows)
     _write_outputs(args.out, chain(["x,u\n"], rows), plot)
-    return 0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -244,10 +240,10 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if "delta" in args and not MIN_DELTA <= args.delta <= 0.5:
             raise ValueError(f"delta must lie in [{MIN_DELTA:g}, 0.5], got {args.delta!r}")
-        status = args.run(args)
+        args.run(args)
         # flushed here, a failed write to stdout is reported like any other
         sys.stdout.flush()
-        return status
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -262,8 +262,9 @@ def predictive_covariance(
     near, far = np.minimum(x, z), np.maximum(x, z)
     cov = (np.exp(-a * (far - near)) * (_scaled_sinh(a, np.maximum(near - lo, 0.0)) / t_z)
            * (_scaled_sinh(a, np.maximum(hi - far, 0.0)) / t_rest) / _scaled_sinh(a, hi - lo))
-    for w, j in ((w_lo, k - 1), (w_hi, k)):
-        ends, row = np.unique(j, return_inverse=True)
+    # bracket k has the sites k - 1 and k
+    brackets, row = np.unique(k, return_inverse=True)
+    for w, ends in ((w_lo, brackets - 1), (w_hi, brackets)):
         site = xi[np.clip(ends, 0, len(xi) - 1), None]
         near, far = np.minimum(site, z), np.maximum(site, z)
         r = (1.0 - far) - near

@@ -515,8 +515,7 @@ class TestForkedWriter:
                 os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("command", ["predict", "solve"])
-    def test_table_alone_is_written_in_this_process(self, data_file, tmp_path, monkeypatch,
-                                                    command):
+    def test_table_alone_draws_no_plot(self, data_file, tmp_path, monkeypatch, command):
         # without --format svg no plot is drawn
         def no_plot(*args):
             raise AssertionError("drew a plot for a table alone")

@@ -450,8 +450,10 @@ class TestPredictiveCovariance:
     def test_subnormal_sites_match_mpmath(self, a):
         # a site term that paired the vanishing factor of G(xi, z) with one
         # of L1(z) gave -0.3 for -0.6 at x = 5e-324, z = 0.7 and a = 0; the
-        # queries stay off the brackets between 1 - 2^-53 and 1 and between
-        # 0 and 5e-324, where a near-end site's term cancels G_I / L1(z)
+        # queries keep z away from the end where z lies between a near-end
+        # site and x, inside x's bracket: there that site's term cancels
+        # G_I / L1(z).  The nearest pair, x = 0.7 and z = 0.999 below the
+        # site 1 - 2^-53, is 1.3e-14 off at a = 100
         xi = np.array([5e-324, 1e-300, 0.3, np.nextafter(0.3, 1.0), 0.5, 1.0 - 2.0**-53])
         x = np.array([5e-324, 1e-300, 0.1, 0.3, 0.4, 0.7, 0.999])
         samples = SampleSet(xi=xi, eta=np.ones_like(xi))
