@@ -16,7 +16,6 @@ from .regression import (
     build_cov_matrix,
     discretized_solution,
     predict,
-    predictive_covariance,
 )
 
 __version__ = "0.1.0"
@@ -34,5 +33,4 @@ __all__ = [
     "l1_norm",
     "normalized_green",
     "predict",
-    "predictive_covariance",
 ]

@@ -6,7 +6,7 @@ query values on the data.  No noise term: the posterior mean passes
 through every sample exactly and the posterior variance vanishes there.
 G is the covariance of a Markov bridge, so conditioning needs no matrix
 solve: a query's weights sit on the two sites bracketing it, and the
-predictive mean, variance and covariance need only those two sites.
+predictive mean and variance need only those two sites.
 """
 
 from __future__ import annotations
@@ -204,79 +204,6 @@ def predict(params: KernelParams, samples: SampleSet, grid: QueryGrid) -> Predic
         band_lo=mean - 2.0 * std,
         band_hi=mean + 2.0 * std,
     )
-
-
-def predictive_covariance(
-    params: KernelParams, samples: SampleSet, grid: QueryGrid
-) -> np.ndarray:
-    """Full M x M predictive covariance.
-
-    Entry (i, j) is E(x, z) = H(x, z) - sum_k w_k(x) H(z, xi_k) at
-    x = x*_i and z = x*_j, the sum running over the two sites bracketing
-    x with the kriging weights of :func:`predict`: the two-neighbour form
-    of the dense query_cov - cross_cov^T data_cov^{-1} cross_cov, at O(1)
-    per entry.  Not symmetric, since H is not.
-
-    That difference cancels for z next to x's bracket sites, so it is
-    taken apart along G's Markov structure:
-
-        E(x, z) = G_I(x, z) / L1(z) + w_lo(x) Phi(lo, z) + w_hi(x) Phi(hi, z)
-        G_I(x, z) = exp(-a |x - z|) S(min(x, z) - lo) S(hi - max(x, z)) / S(hi - lo)
-        Phi(xi, z) = H(z, xi) (L1(xi) - L1(z)) / L1(z)
-
-    G_I is the Green's function of x's bracket [lo, hi], with
-    S = ``_scaled_sinh``; both gaps clamp at 0, so it is exactly 0 for z
-    off the bracket.  Its factors that vanish as z reaches 0 or 1 are
-    divided by the two factors of L1(z) before any product.  Phi depends
-    on the site and not on x, so it is formed once per distinct site on
-    a (sites x M) block and gathered to the queries.  The ends 0 and 1
-    of a bracket are no site and their rows are 0; Phi does not vanish
-    as xi reaches 0, so an end cannot stand in for a site.
-
-    With T = ``_scaled_sinh`` at a / 2, L1(y) = T(y) T(1 - y) / (1 + exp(-a)).
-    Let n = min(xi, z), f = max(xi, z) and r = (1 - f) - n, formed in
-    that order so that it is exact where it is small.  G's closed form
-    and the L1 gap sgn(xi - z) sgn(r) exp(-a min(n, 1 - f)) T(f - n) T(|r|)
-    / (1 + exp(-a)) give
-
-        Phi(xi, z) = sgn(xi - z) sgn(r) exp(-a min(f, 1 - n))
-                     (1 + exp(-a n)) (1 + exp(-a (1 - f))) / (2 T(1))
-                     T(f - n) / T(f) T(|r|) / T(1 - n)
-
-    The factors of G that vanish as n reaches 0 and f reaches 1 enter
-    only as their quotients by T, in closed form: S(s) / T(s) =
-    (1 + exp(-a s)) / 2 and R(s) / T(s) = (1 + exp(-a s)) / (2 S(1)),
-    with R = ``_scaled_sinh_ratio``.  So nothing that vanishes is
-    divided, whichever of xi and z is subnormal.  Every exponent is
-    <= 0 and both T quotients are at most 1, so Phi is finite up to
-    ``MAX_COEFFICIENT``.
-
-    Where the two site terms have opposite signs and cancel, E crosses
-    zero and its error is a few ulp of the terms, not of E.  Its
-    diagonal is :func:`predict`'s variance, to the bit.
-    """
-    a, x, z, xi = params.a, grid.x_star[:, None], grid.x_star, samples.xi
-    k, lo, hi, w_lo, w_hi = _bracket(a, xi, x)
-    # t_z t_rest = L1(z)
-    t_z, t_rest = _l1_factors(a, z)
-    near, far = np.minimum(x, z), np.maximum(x, z)
-    cov = (np.exp(-a * (far - near)) * (_scaled_sinh(a, np.maximum(near - lo, 0.0)) / t_z)
-           * (_scaled_sinh(a, np.maximum(hi - far, 0.0)) / t_rest) / _scaled_sinh(a, hi - lo))
-    # bracket k has the sites k - 1 and k
-    brackets, row = np.unique(k, return_inverse=True)
-    for w, ends in ((w_lo, brackets - 1), (w_hi, brackets)):
-        site = xi[np.clip(ends, 0, len(xi) - 1), None]
-        near, far = np.minimum(site, z), np.maximum(site, z)
-        r = (1.0 - far) - near
-        # the ends 0 and 1 of (0, 1) are no site: their rows are 0
-        phi = (((ends >= 0) & (ends < len(xi)))[:, None] * np.sign(site - z) * np.sign(r)
-               * (1.0 + np.exp(-a * near)) * (1.0 + np.exp(-a * (1.0 - far)))
-               / (2.0 * _scaled_sinh(a / 2.0, 1.0)) * np.exp(-a * np.minimum(far, 1.0 - near))
-               * (_scaled_sinh(a / 2.0, far - near) / _scaled_sinh(a / 2.0, far))
-               * (_scaled_sinh(a / 2.0, np.abs(r)) / _scaled_sinh(a / 2.0, 1.0 - near)))
-        cov += w * phi[row.ravel()]
-    np.fill_diagonal(cov, predict(params, samples, grid).variance)
-    return cov
 
 
 def discretized_solution(params: KernelParams, samples: SampleSet, delta: float, x):

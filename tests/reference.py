@@ -2,16 +2,15 @@
 
 The package's ``predict`` works from the two sites bracketing each query
 and forms no covariance matrix; ``build_cov_matrix`` forms the data
-matrix and ``predictive_covariance`` the M x M one, entry by entry in
-closed form, and neither is solved.  Here the same quantities come from
-the dense block formulas, with H = G / L1 taken straight from its
-definition and the data system solved by ``np.linalg.solve`` (LAPACK
-LU).  The sine series is a second evaluation of G that shares no code
-with the closed form.  A fixed composite Simpson rule integrates the sections that the
-package normalizes in closed form, and the inner product under which G
-reproduces point evaluation: the package computes everything in closed
-form, so quadrature lives only here.  Only public names are imported
-from the package.
+matrix entry by entry in closed form and solves nothing.  Here the same
+quantities come from the dense block formulas, with H = G / L1 taken
+straight from its definition and the data system solved by
+``np.linalg.solve`` (LAPACK LU).  The sine series is a second evaluation
+of G that shares no code with the closed form.  A fixed composite Simpson
+rule integrates the sections that the package normalizes in closed form,
+and the inner product under which G reproduces point evaluation: the
+package computes everything in closed form, so quadrature lives only
+here.  Only public names are imported from the package.
 """
 
 import sys

@@ -8,8 +8,7 @@ was computed independently at 40-digit precision (mpmath) from the
 closed forms and frozen at full double precision; tests compare against
 these at tight tolerances.  ``mp_section`` computes the section
 quantities afresh at 60 or more digits for the sweeps over a and y, and
-``mp_posterior`` the dense predictive mean and variance at 80 digits,
-``mp_covariance`` the dense predictive covariance at 400.
+``mp_posterior`` the dense predictive mean and variance at 80 digits.
 """
 
 import functools
@@ -213,24 +212,3 @@ def mp_posterior(a, xi, eta, x, dps=80):
             means.append(float(sum(c[i] * weights[i] for i in range(len(sites)))))
             variances.append(float(_mp_h(a_, q, q) - sum(c[i] * explained[i] for i in range(len(sites)))))
         return np.array(means), np.array(variances)
-
-
-def mp_covariance(a, xi, x, dps=400):
-    """Dense predictive covariance at the queries ``x``, at ``dps`` digits.
-
-    Entry (i, j) is H(x_i, x_j) - c_i^T K^{-1} c_j with K and c as in
-    :func:`mp_posterior`.  The difference cancels down to the entry: at
-    the default 400 digits, an entry that is a normal double keeps more
-    than 70 digits wherever the terms it cancels stay below 1e20.
-    """
-    with mpmath.workdps(dps):
-        a_ = mpmath.mpf(a)
-        sites = [mpmath.mpf(float(v)) for v in xi]
-        queries = [mpmath.mpf(float(v)) for v in x]
-        cross = mpmath.matrix([[_mp_h(a_, q, s) for q in queries] for s in sites])
-        explained = mpmath.matrix([[_mp_h(a_, s, t) for t in sites] for s in sites]) ** -1 * cross
-        return np.array([
-            [float(_mp_h(a_, p, q) - sum(cross[k, i] * explained[k, j] for k in range(len(sites))))
-             for j, q in enumerate(queries)]
-            for i, p in enumerate(queries)
-        ])

@@ -9,8 +9,7 @@ superposition scan have a second oracle, their own a = 0 output, which
 holds down to subnormal sites and queries where the dense reference
 keeps no digits; there the sites may be one ulp apart.  With sites in
 clusters down to one ulp apart and ``a`` up to 1e154, the variance lies
-in [0, H(x, x)] without a clamp, and ``predictive_covariance``'s
-diagonal is ``predict``'s variance.  G must be symmetric and vanish at
+in [0, H(x, x)] without a clamp.  G must be symmetric and vanish at
 the ends.  ``normalized_green`` is within 1e-13 relative of 60-digit
 ``mpmath`` wherever H is a normal double, for anchors drawn down to
 5e-324 and up to 1 - 1e-16 and ``a`` in {0, 1, 10, 100}.  The CLI
@@ -38,7 +37,6 @@ from greenreg.regression import (
     SampleSet,
     discretized_solution,
     predict,
-    predictive_covariance,
 )
 
 coefficients = st.floats(min_value=-12.0, max_value=4.0).map(lambda e: KernelParams(a=10.0**e))
@@ -72,14 +70,10 @@ def test_two_neighbour_forms_match_the_dense_reference(params, data):
     s = data.draw(samples())
     grid = data.draw(queries(s.xi))
     pred = predict(params, s, grid)
-    full = predictive_covariance(params, s, grid)
     mean, dense = reference.dense_posterior(params, s, grid.x_star)
     prior = reference.h(params, grid.x_star, grid.x_star)
     assert np.all(np.abs(pred.mean - mean) <= 1e-9 * np.abs(s.eta).max(initial=1.0))
     assert np.all(np.abs(pred.variance - np.diagonal(dense)) <= 1e-9 * prior)
-    assert np.all(np.abs(full - dense) <= 1e-9 * prior.max())
-
-    assert np.array_equal(np.diagonal(full), pred.variance)
 
     on_site = np.isin(grid.x_star, s.xi)
     hit = np.searchsorted(s.xi, grid.x_star[on_site])
@@ -166,9 +160,6 @@ def test_tiny_coefficient_predicts_the_zero_coefficient_to_the_bit(a, xi, x, dat
     want, got = predict(zero, s, grid), predict(tiny, s, grid)
     for name in ("mean", "variance", "std", "band_lo", "band_hi"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert predictive_covariance(tiny, s, grid).tobytes() == (
-        predictive_covariance(zero, s, grid).tobytes()
-    )
     xs = np.concatenate(([0.0, 1.0], grid.x_star))
     assert discretized_solution(tiny, s, 1e-3, xs).tobytes() == (
         discretized_solution(zero, s, 1e-3, xs).tobytes()
@@ -214,7 +205,6 @@ def test_variance_lies_between_zero_and_the_prior(a, xi, data):
     prior = normalized_green(params, x, x)
     assert np.all(pred.variance <= prior * (1.0 + 4.0 * np.finfo(float).eps))
     assert np.all(pred.variance[: xi.size] == 0.0)
-    assert np.array_equal(np.diagonal(predictive_covariance(params, s, grid)), pred.variance)
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -1,7 +1,7 @@
 """Sample validation, covariance blocks and noise-free prediction.
 
 The dense block formulas of ``reference`` are the oracle for the
-two-neighbour predictor and covariance.
+two-neighbour predictor.
 
 - ``SampleSet`` and ``QueryGrid`` reject unsorted, out-of-range,
   non-finite and mismatched input with their own message.
@@ -18,16 +18,6 @@ two-neighbour predictor and covariance.
   site for ``a`` from 0 to 1e150, and between sites from 2 ulps to
   ``MIN_ABSCISSA_GAP`` apart, which ``SampleSet`` accepts; queries from
   5e-324 to 1 - 2^-52, with a subnormal mean within one unit.
-- ``predictive_covariance``: each entry within 1e-13 relative of the
-  400-digit ``refvals.mp_covariance`` wherever it is a normal double,
-  for ``a`` from 0 to 1e4, at queries 1e-12 to 1e-9 from a site or from
-  1 - xi_k, midway between sites and at 5e-324, 1e-300 and 1 - 1e-16,
-  in the same bracket and in different ones, and at the two entries the
-  dense-form subtraction lost, and on sites from 5e-324 to 1 - 2^-53;
-  the float dense oracle within ``1e-14 * max H(x, x)``; its diagonal
-  equal to ``predict``'s variance bit for bit, and the ``a = 0`` output
-  at tiny ``a``; a peak of at most 8 results for 50 sites and 1 000
-  queries, and finite, quiet entries up to ``MAX_COEFFICIENT``.
 - ``discretized_solution``: exact end zeros, linearity in the ordinates,
   the series superposition, the dense sum within 1e-12 of its scale for
   ``a`` up to 1e6, and bounded memory, also for ``solve --delta 1e-5
@@ -55,7 +45,6 @@ from greenreg.regression import (
     build_cov_matrix,
     discretized_solution,
     predict,
-    predictive_covariance,
 )
 
 A1 = KernelParams(a=1.0)
@@ -258,7 +247,7 @@ class TestTwoNeighbourPredictor:
     def test_posterior_checks_no_input_again(self, samples, monkeypatch):
         # SampleSet and QueryGrid check their arrays where they enter; the
         # posterior runs the kernel on them and checks nothing again
-        grid, coarse = QueryGrid.uniform(0.001), QueryGrid.uniform(0.01)
+        grid = QueryGrid.uniform(0.001)
         checked = []
         for module in (kernel, regression):
             for name in ("_as_unit", "_as_open_unit"):
@@ -267,7 +256,6 @@ class TestTwoNeighbourPredictor:
                     return check(label, v)
                 monkeypatch.setattr(module, name, counted)
         predict(A1, samples, grid)
-        predictive_covariance(A1, samples, coarse)
         assert checked == []
         # the count sees the public kernel's checks
         green_closed(A1, grid.x_star, 0.5)
@@ -275,8 +263,7 @@ class TestTwoNeighbourPredictor:
         assert checked == ["x", "y", "y", "x"]
 
     def test_memory_is_linear_and_no_solve(self, monkeypatch):
-        # the dense path would need an M x M block of 80 GB for predict here,
-        # and a 3.2 GB data block for the N = 20 000 covariance
+        # the dense path would need an M x M block of 80 GB here
         def no_solve(*args, **kwargs):
             raise AssertionError("nothing may factor a covariance matrix")
 
@@ -294,17 +281,6 @@ class TestTwoNeighbourPredictor:
             tracemalloc.stop()
         assert peak < 64 * 2**20
         assert np.all(np.isfinite(pred.mean)) and pred.clamped_count == 0
-
-        samples = SampleSet(xi=np.linspace(5e-5, 1.0 - 5e-5, 20_000), eta=rng.normal(size=20_000))
-        grid = QueryGrid(x_star=rng.uniform(0.0, 1.0, 10))
-        tracemalloc.start()
-        try:
-            cov = predictive_covariance(KernelParams(a=10.0), samples, grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
-        assert cov.shape == (10, 10) and np.all(np.isfinite(cov))
 
 
 def _midway_at_the_gap_floor(params, lo):
@@ -382,108 +358,6 @@ class TestAgainstMpmath:
             assert np.all(np.abs(pred.mean - mean) <= 1e-15 * np.abs(mean))
             assert np.all(np.abs(pred.variance - var)[:-1] <= 2e-15 * var[:-1])
             assert pred.variance[-1] == 0.0
-
-
-class TestPredictiveCovariance:
-    def test_diagonal_matches_unclamped_variances(self, samples):
-        grid = QueryGrid(x_star=[0.15, 0.4, 0.62, 0.88])
-        full = predictive_covariance(A1, samples, grid)
-        assert full.shape == (4, 4)
-        _, dense = reference.dense_posterior(A1, samples, grid.x_star)
-        pred = predict(A1, samples, grid)
-        assert_allclose(pred.variance, np.diagonal(dense), atol=1e-12)
-        assert np.array_equal(np.diagonal(full), pred.variance)
-
-    @pytest.mark.parametrize("a", [0.0, 1.0, 10.0, 100.0, 1000.0])
-    @pytest.mark.parametrize("n", [1, 5, 50, 200])
-    def test_matches_dense_oracle(self, n, a):
-        params, samples, grid = _random_case(n, a)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            full = predictive_covariance(params, samples, grid)
-        _, dense = reference.dense_posterior(params, samples, grid.x_star)
-        scale = reference.h(params, grid.x_star, grid.x_star).max()
-        assert np.all(np.abs(full - dense) <= 1e-14 * scale)
-        assert np.array_equal(np.diagonal(full), predict(params, samples, grid).variance)
-
-    @pytest.mark.parametrize("a", [1.5e-154, 1e-150, 1e-100])
-    def test_tiny_coefficient_is_the_zero_coefficient_to_the_bit(self, a):
-        # 2 a (hi - lo) underflows for the gaps next to 0; the bracket
-        # weights were 0 / 0 there
-        samples = SampleSet(xi=[1e-300, 0.3, 0.5], eta=[1.0, 2.5, 2.0])
-        grid = QueryGrid(x_star=[5e-324, 3e-320, 5e-301, 0.1, 0.25, 0.4, 0.9, 1.0 - 1e-16])
-        for form in (lambda p: predict(p, samples, grid).mean,
-                     lambda p: predict(p, samples, grid).variance,
-                     lambda p: predictive_covariance(p, samples, grid)):
-            assert form(KernelParams(a=a)).tobytes() == form(KernelParams(a=0.0)).tobytes()
-
-
-    @pytest.mark.parametrize("a", [0.0, 1.0, 10.0, 100.0, 1e4])
-    @pytest.mark.parametrize("xi", [refvals.XI, np.array([0.12, 0.33, 0.61, 0.8])],
-                             ids=["readme", "uneven"])
-    def test_entries_match_mpmath_one_by_one(self, xi, a):
-        # every pair of: queries 1e-12 and 1e-9 either side of each site and
-        # of each 1 - xi_k, midway between sites and ends, and at 5e-324,
-        # 1e-300 and 1 - 1e-16; the pairs share a bracket or not
-        x = np.unique(np.concatenate((
-            xi + 1e-12, xi - 1e-12, xi + 1e-9, xi - 1e-9, 1.0 - xi + 1e-12, 1.0 - xi - 1e-9,
-            (xi[1:] + xi[:-1]) / 2, [xi[0] / 2, (1.0 + xi[-1]) / 2, 5e-324, 1e-300, 1.0 - 1e-16],
-        )))
-        samples = SampleSet(xi=xi, eta=np.ones_like(xi))
-        got = predictive_covariance(KernelParams(a=a), samples, QueryGrid(x_star=x))
-        want = refvals.mp_covariance(a, xi, x)
-        normal = np.abs(want) >= np.finfo(float).tiny
-        assert np.all(np.abs(got - want)[normal] <= 1e-13 * np.abs(want[normal]))
-        # where the entry is below the normal range, so is the output
-        assert np.all(np.abs(got[~normal]) < np.finfo(float).tiny)
-
-    @pytest.mark.parametrize("a, x, z", [(1.0, 0.3 + 1e-12, 0.3 + 2e-12),
-                                         (100.0, 0.29999, 0.7 - 1e-13)])
-    def test_entries_the_subtraction_lost(self, samples, a, x, z):
-        # H(x, z) - sum w H(z, xi) was 1.5e-4 off the first entry, and gave
-        # +6.9e-31 for the second, which is -2.807e-40
-        got = predictive_covariance(KernelParams(a=a), samples, QueryGrid(x_star=[x, z]))
-        want = refvals.mp_covariance(a, samples.xi, [x, z])
-        assert abs(got[0, 1] - want[0, 1]) <= 1e-13 * abs(want[0, 1])
-
-    @pytest.mark.parametrize("a", [0.0, 1.0, 10.0, 100.0, 1e4])
-    def test_subnormal_sites_match_mpmath(self, a):
-        # a site term that paired the vanishing factor of G(xi, z) with one
-        # of L1(z) gave -0.3 for -0.6 at x = 5e-324, z = 0.7 and a = 0; the
-        # queries keep z away from the end where z lies between a near-end
-        # site and x, inside x's bracket: there that site's term cancels
-        # G_I / L1(z).  The nearest pair, x = 0.7 and z = 0.999 below the
-        # site 1 - 2^-53, is 1.3e-14 off at a = 100
-        xi = np.array([5e-324, 1e-300, 0.3, np.nextafter(0.3, 1.0), 0.5, 1.0 - 2.0**-53])
-        x = np.array([5e-324, 1e-300, 0.1, 0.3, 0.4, 0.7, 0.999])
-        samples = SampleSet(xi=xi, eta=np.ones_like(xi))
-        got = predictive_covariance(KernelParams(a=a), samples, QueryGrid(x_star=x))
-        want = refvals.mp_covariance(a, xi, x)
-        normal = np.abs(want) >= np.finfo(float).tiny
-        assert np.all(np.abs(got - want)[normal] <= 1e-13 * np.abs(want[normal]))
-        assert np.all(np.abs(got[~normal]) < np.finfo(float).tiny)
-
-    def test_peak_memory_is_a_few_results(self):
-        # each site term is formed once per distinct site, on a (sites x M)
-        # block, not once per query on an M x M one
-        params, samples, _ = _random_case(50, 1.0)
-        grid = QueryGrid(x_star=np.random.default_rng(50).uniform(0.0, 1.0, 1000))
-        tracemalloc.start()
-        try:
-            cov = predictive_covariance(params, samples, grid)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * cov.nbytes
-
-    @pytest.mark.parametrize("a", [1e150, kernel.MAX_COEFFICIENT])
-    def test_large_coefficient_is_quiet_and_finite(self, a):
-        samples = SampleSet(xi=[5e-324, 1e-310, 0.3, 0.5, 1.0 - 1e-16], eta=[1.0] * 5)
-        grid = QueryGrid(x_star=[5e-324, 1e-320, 1e-300, 0.4, 1.0 - 1e-16])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            cov = predictive_covariance(KernelParams(a=a), samples, grid)
-        assert np.all(np.isfinite(cov))
 
 
 class TestDiscretizedSolution:
