@@ -8,9 +8,10 @@ computation is in closed form, so no valid input fails numerically.
 ``run``, which ends the process by ``os._exit`` once its output is
 flushed, skipping the interpreter's teardown.
 
-With ``--format svg``, ``predict`` and ``solve`` write their table, then
-draw and write the plot, even after a failed table; ``solve``'s plot takes
-its points from the table's text.  Inputs are checked before any output.
+With ``--format svg``, ``predict`` and ``solve`` write and close their
+table, then draw and write the plot; the first failed write ends the
+command.  ``solve``'s plot takes its points from the table's text.
+Inputs are checked before any output.
 ``--delta`` (``predict``, ``density`` and ``solve``) is checked once,
 against [MIN_DELTA, 0.5], before any command runs, so no grid has more
 than 1 000 001 rows.
@@ -22,7 +23,6 @@ import argparse
 import io
 import os
 import sys
-from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -83,23 +83,6 @@ def load_samples(path: Path) -> SampleSet:
     return SampleSet(xi=np.asarray(xi), eta=np.asarray(eta))
 
 
-def _write_outputs(out: Path, table, plot) -> None:
-    """Write the text blocks ``table`` to ``out`` and ``plot()``, if any, to its .svg sibling.
-
-    ``out`` is opened first, and once, so an unwritable ``out`` fails with
-    nothing written.  The plot is drawn and written once ``out`` is closed,
-    even where the table fails, so it replaces the whole table where its
-    path names the CSV; the table's error is raised after it.
-    """
-    fh = open(out, "w", encoding="utf-8")
-    try:
-        with fh:
-            fh.writelines(table)
-    finally:
-        if plot is not None:
-            out.with_suffix(".svg").write_text(plot(), encoding="utf-8")
-
-
 def cmd_predict(args: argparse.Namespace) -> None:
     """Write the predictive table as CSV; with format=svg also a band plot."""
     samples = load_samples(args.data)
@@ -112,12 +95,12 @@ def cmd_predict(args: argparse.Namespace) -> None:
     columns = (pred.x_star, pred.mean, pred.variance, pred.std, pred.band_lo, pred.band_hi)
     header = "x_star,mean,variance,std,band_lo,band_hi\n"
     rows = svg._format_rows(",".join(["%.12g"] * 6) + "\n", columns)
-    table = chain([header], rows, [f"# clamped={pred.clamped_count}\n"])
-    plot = None
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.writelines(chain([header], rows, [f"# clamped={pred.clamped_count}\n"]))
     if args.format == "svg":
-        plot = partial(svg.band_plot, pred.x_star, pred.mean, pred.band_lo, pred.band_hi,
-                       samples.xi, samples.eta)
-    _write_outputs(args.out, table, plot)
+        plot = svg.band_plot(pred.x_star, pred.mean, pred.band_lo, pred.band_hi,
+                             samples.xi, samples.eta)
+        args.out.with_suffix(".svg").write_text(plot, encoding="utf-8")
 
 
 def cmd_matrix(args: argparse.Namespace) -> None:
@@ -152,11 +135,12 @@ def cmd_solve(args: argparse.Namespace) -> None:
     xs = _axis_grid(args.delta)
     us = discretized_solution(KernelParams(a=args.a), samples, args.delta, xs)
     rows = svg._format_rows("%.12g,%.12g\n", (xs, us))
-    plot = None
     if args.format == "svg":
         rows = list(rows)  # the plot takes its points from the table's text
-        plot = partial(svg.curve_plot, xs, us, rows)
-    _write_outputs(args.out, chain(["x,u\n"], rows), plot)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.writelines(chain(["x,u\n"], rows))
+    if args.format == "svg":
+        args.out.with_suffix(".svg").write_text(svg.curve_plot(xs, us, rows), encoding="utf-8")
 
 
 class _Parser(argparse.ArgumentParser):

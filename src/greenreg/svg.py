@@ -8,6 +8,8 @@ same input, same bytes.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 WIDTH = 800
@@ -32,11 +34,21 @@ def _format_rows(template: str, columns):
 
 
 def _extents(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float, float]:
-    x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
-    y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
-    x_pad = (x_hi - x_lo) * _MARGIN or 1e-3
-    y_pad = (y_hi - y_lo) * _MARGIN or 1e-3
-    return x_lo - x_pad, x_hi + x_pad, y_lo - y_pad, y_hi + y_pad
+    """``x_lo, x_hi, y_lo, y_hi``: the data's ranges, each padded by ``_MARGIN``.
+
+    Raises ValueError where a padded range is not a finite double, so that
+    no viewBox, stroke width or radius is written as ``inf`` or ``nan``.
+    """
+    extents = []
+    for axis, values in (("x", xs), ("y", ys)):
+        lo, hi = float(np.min(values)), float(np.max(values))
+        pad = (hi - lo) * _MARGIN or 1e-3
+        # Python floats overflow silently; a width that is finite has finite ends
+        if not math.isfinite((hi + pad) - (lo - pad)):
+            raise ValueError(f"cannot plot {axis} from {lo!r} to {hi!r}:"
+                             f" the plot's {axis} extent is not a finite double")
+        extents += [lo - pad, hi + pad]
+    return tuple(extents)
 
 
 def _poly_points(xs: np.ndarray, ys: np.ndarray, rows=None) -> list[str]:

@@ -9,11 +9,12 @@
   points in x order for unsorted ``--queries``), a grid that ends at
   exactly 1 at steps such as 1/161, and ``predict``'s ``x_star`` column
   equal to ``solve``'s ``x`` column without its end rows.
-- The table and plot writer: an ``<out>.svg`` that is a directory, an
-  ``--out`` in a missing directory, a failing table (its plot is still
-  written), a failing plot (the table is whole), two failures (one
-  ``error:`` line, the plot's), a named pipe whose reader leaves early,
-  a plot path that names or links to the CSV, and ``--out`` opened once.
+- The table and plot writer of ``predict`` and ``solve``: an
+  ``<out>.svg`` that is a directory, an ``--out`` in a missing directory,
+  a failing table (no plot is drawn), a failing plot or one whose extent
+  overflows (the table is whole), a table on a full device, a named pipe
+  whose reader leaves early, a plot path that names or links to the CSV,
+  and ``--out`` opened once.
 - Exit codes: usage errors, out-of-range values and a ``--delta`` below
   the floor exit 1 and write nothing; the floor builds no grid.
 - Every coefficient: each command at ``a`` from 0 to 1e154 with no
@@ -355,21 +356,24 @@ class TestSolveCommand:
 
 
 class TestForkedWriter:
-    # the table and plot writer of predict and solve: out is opened and the
-    # table written, then the plot is drawn and written, even after a
-    # failed table
+    # the table and plot writer of predict and solve: out is opened once and
+    # the table written and closed, then the plot is drawn and written; the
+    # first failed write ends the command with its error
 
     @pytest.mark.skipif(os.name != "posix", reason="EISDIR is POSIX's error for a directory")
-    def test_plot_path_is_a_directory(self, data_file, tmp_path, capsys):
+    @pytest.mark.parametrize("command, rows, last", [("predict", 1001, "# clamped=0"),
+                                                     ("solve", 1002, "1,0")],
+                             ids=["predict", "solve"])
+    def test_plot_path_is_a_directory(self, data_file, tmp_path, capsys, command, rows, last):
         out = tmp_path / "sol.csv"
         (tmp_path / "sol.svg").mkdir()
-        rc = cli.main(["solve", "--data", str(data_file), "--a", "1", "--delta", "1e-3",
+        rc = cli.main([command, "--data", str(data_file), "--a", "1", "--delta", "1e-3",
                        "--out", str(out), "--format", "svg"])
         assert rc == 1
         err = capsys.readouterr().err
         assert err == f"error: [Errno 21] Is a directory: {str(tmp_path / 'sol.svg')!r}\n"
         lines = out.read_text(encoding="utf-8").splitlines()
-        assert len(lines) == 1002 and lines[-1] == "1,0"
+        assert len(lines) == rows and lines[-1] == last
 
     def test_out_in_a_missing_directory(self, data_file, tmp_path, capsys):
         out = tmp_path / "missing" / "pred.csv"
@@ -394,17 +398,30 @@ class TestForkedWriter:
         assert capsys.readouterr().err == "error: disk full\n"
         assert list(tmp_path.iterdir()) == [data_file]
 
-    def test_failure_of_the_table_alone_is_reported(self, tmp_path):
-        # the plot succeeds, so the error is the table's, raised once the
-        # plot is written
-        def blocks():
-            yield "x,u\n"
+    def test_failure_of_the_table_alone_is_reported(self, data_file, tmp_path, capsys,
+                                                    monkeypatch):
+        # the table's write fails after its first block of rows: the command
+        # ends with the table's error, and the plot is never drawn
+        format_rows = svg._format_rows
+
+        def one_block(*args):
+            yield next(format_rows(*args))
             raise OSError("disk full")
 
-        with pytest.raises(OSError, match="^disk full$"):
-            cli._write_outputs(tmp_path / "sol.csv", blocks(), lambda: "<svg/>\n")
-        assert (tmp_path / "sol.csv").read_text(encoding="utf-8") == "x,u\n"
-        assert (tmp_path / "sol.svg").read_text(encoding="utf-8") == "<svg/>\n"
+        def no_plot(*args):
+            raise AssertionError("drew a plot after a failed table")
+
+        monkeypatch.setattr(svg, "_format_rows", one_block)
+        monkeypatch.setattr(svg, "band_plot", no_plot)
+        out = tmp_path / "pred.csv"
+        rc = cli.main(["predict", "--data", str(data_file), "--a", "1", "--delta", "1e-4",
+                       "--out", str(out), "--format", "svg"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: disk full\n"
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "x_star,mean,variance,std,band_lo,band_hi"
+        assert len(lines) == 1 + svg._BLOCK and lines[-1].startswith("0.4096,")
+        assert not out.with_suffix(".svg").exists()
 
     @pytest.mark.parametrize("command", ["predict", "solve"])
     def test_failing_plot_keeps_the_table(self, data_file, tmp_path, capsys, monkeypatch,
@@ -423,6 +440,33 @@ class TestForkedWriter:
         assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert not out.with_suffix(".svg").exists()
 
+    def test_plot_whose_extent_overflows(self, tmp_path, capsys):
+        # the table's values are finite, but the padded y range of the band
+        # plot passes the largest double: the plot fails, the table is whole
+        data = tmp_path / "d.csv"
+        data.write_text("0.1,1e308\n0.3,-1e308\n0.5,1.7e308\n", encoding="utf-8")
+        argv = ["predict", "--data", str(data), "--a", "1", "--out"]
+        assert cli.main([*argv, str(tmp_path / "want.csv")]) == 0
+        out = tmp_path / "o.csv"
+        assert cli.main([*argv, str(out), "--format", "svg"]) == 1
+        assert capsys.readouterr().err == (
+            "error: cannot plot y from -1e+308 to 1.7e+308:"
+            " the plot's y extent is not a finite double\n")
+        assert out.read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert not re.search(r"inf|nan", out.read_text(encoding="utf-8"))
+        assert not out.with_suffix(".svg").exists()
+
+    @pytest.mark.parametrize("xs, ys", [
+        ([0.0, 1.0], [-1e308, 1.7e308]),  # the width overflows
+        ([0.0, 1.0], [0.0, 1.75e308]),  # the width is finite, the padded top is not
+        ([-1.7e308, 1e308], [0.0, 1.0]),
+        ([0.0, 1.0], [0.0, np.nan]),
+        ([0.0, 1.0], [0.0, np.inf]),
+    ], ids=["y-width", "y-padded-top", "x-width", "nan", "inf"])
+    def test_plot_extent_must_be_a_finite_double(self, xs, ys):
+        with pytest.raises(ValueError, match="extent is not a finite double"):
+            svg.curve_plot(np.asarray(xs), np.asarray(ys))
+
     @pytest.mark.parametrize("fmt", ["csv", "svg"])
     def test_out_is_opened_once(self, data_file, tmp_path, monkeypatch, fmt):
         # a named pipe as --out would see end-of-file at a first close
@@ -440,26 +484,30 @@ class TestForkedWriter:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_both_failures_print_one_error(self, data_file, tmp_path, capsys, monkeypatch):
-        # the table's write fails on a full device and so does the plot's,
-        # which comes last: its error is the one reported
+        # the table's write fails on a full device; the plot, whose path is a
+        # directory, is never drawn: the table's error is the one reported
         out = tmp_path / "sol.csv"
 
         def full_out(file, *args, **kwargs):
             return open("/dev/full" if Path(file) == out else file, *args, **kwargs)
 
+        def no_plot(*args):
+            raise AssertionError("drew a plot after a failed table")
+
         monkeypatch.setattr(cli, "open", full_out, raising=False)
+        monkeypatch.setattr(svg, "curve_plot", no_plot)
         (tmp_path / "sol.svg").mkdir()
         rc = cli.main(["solve", "--data", str(data_file), "--a", "1", "--out", str(out),
                        "--format", "svg"])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert err == f"error: [Errno 21] Is a directory: {str(tmp_path / 'sol.svg')!r}\n"
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+        assert list((tmp_path / "sol.svg").iterdir()) == []
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
     @pytest.mark.parametrize("command", ["predict", "solve"])
     def test_named_pipe_whose_reader_leaves_early(self, data_file, tmp_path, command):
-        # the table's write fails with EPIPE; the plot, next to the pipe,
-        # is still written
+        # the table's write fails with EPIPE, which ends the command: no
+        # plot is written next to the pipe
         out = tmp_path / "pipe.csv"
         os.mkfifo(out)
         # opened without waiting for a writer; select waits for the table's first bytes
@@ -479,7 +527,7 @@ class TestForkedWriter:
             finally:
                 proc.kill()  # does nothing once the command has exited
         assert (proc.returncode, stdout, stderr) == (1, "", "error: [Errno 32] Broken pipe\n")
-        assert out.with_suffix(".svg").read_text(encoding="utf-8").startswith("<svg ")
+        assert not out.with_suffix(".svg").exists()
 
     @staticmethod
     def _plot_of(argv, tmp_path):
@@ -489,18 +537,20 @@ class TestForkedWriter:
         assert cli.main([*argv, "--out", str(out), "--format", "svg"]) == 0
         return out.with_suffix(".svg").read_bytes()
 
-    def test_plot_named_like_the_table(self, data_file, tmp_path):
+    @pytest.mark.parametrize("command", ["predict", "solve"])
+    def test_plot_named_like_the_table(self, data_file, tmp_path, command):
         # with --out s.svg the plot replaces the table: it is written once
         # the table is closed
-        argv = ["solve", "--data", str(data_file), "--a", "1", "--delta", "1e-5"]
+        argv = [command, "--data", str(data_file), "--a", "1", "--delta", "1e-5"]
         out = tmp_path / "s.svg"
         assert cli.main([*argv, "--out", str(out), "--format", "svg"]) == 0
         assert out.read_bytes() == self._plot_of(argv, tmp_path)
         assert out.read_bytes().startswith(b"<svg ")
 
-    def test_plot_path_linked_to_the_table(self, data_file, tmp_path):
+    @pytest.mark.parametrize("command", ["predict", "solve"])
+    def test_plot_path_linked_to_the_table(self, data_file, tmp_path, command):
         (tmp_path / "s.svg").symlink_to(tmp_path / "s.csv")
-        argv = ["solve", "--data", str(data_file), "--a", "1", "--delta", "1e-4"]
+        argv = [command, "--data", str(data_file), "--a", "1", "--delta", "1e-4"]
         out = tmp_path / "s.csv"
         assert cli.main([*argv, "--out", str(out), "--format", "svg"]) == 0
         assert out.read_bytes() == self._plot_of(argv, tmp_path)
