@@ -34,7 +34,6 @@ from .kernel import KernelParams, normalized_green
 from .regression import (QueryGrid, SampleSet, _axis_grid, build_cov_matrix,
                          discretized_solution, predict)
 
-_FORMATS = ("csv", "svg")
 # the finest grid step, so no grid has more than 1 000 001 rows; at 1e-9
 # the grid alone, 1e9 doubles, would ask numpy for 7.45 GiB
 MIN_DELTA = 1e-6
@@ -113,10 +112,8 @@ def cmd_matrix(args: argparse.Namespace) -> None:
 
 def cmd_density(args: argparse.Namespace) -> None:
     """Print density stats for the section at ``args.y``; optionally plot it."""
-    if args.format == "svg" and args.out is None:
-        raise ValueError("--format svg requires --out for the curve file")
-    if args.format != "svg" and args.out is not None:
-        raise ValueError("--out writes the curve file only with --format svg")
+    if (args.format == "svg") != (args.out is not None):
+        raise ValueError("--out and --format svg go together: the curve is written only as SVG")
     params = KernelParams(a=args.a)
     stats = density_stats(params, args.y)
     print(
@@ -178,18 +175,14 @@ def _build_parser() -> argparse.ArgumentParser:
     step.add_argument("--delta", type=float, default=0.01, help="grid step (default 0.01)")
     table = argparse.ArgumentParser(add_help=False)
     table.add_argument("--out", type=Path, required=True, help="output CSV path")
-    table.add_argument(
-        "--format",
-        choices=_FORMATS,
-        default="csv",
-        help="svg additionally writes a plot next to the CSV",
-    )
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("csv", "svg"), default="csv",
+                     help="svg also writes a plot: next to the CSV, or density's to --out")
 
     # the commands are bound here, per call, so that rebinding one in this
     # module takes effect
-    p = sub.add_parser(
-        "predict", parents=[coef, data, step, table], help="predictive mean/variance table"
-    )
+    p = sub.add_parser("predict", parents=[coef, data, step, table, fmt],
+                       help="predictive mean/variance table")
     p.add_argument(
         "--queries",
         type=_parse_queries,
@@ -202,20 +195,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "matrix", parents=[coef, data], help="print the data covariance matrix"
     ).set_defaults(run=cmd_matrix)
 
-    p = sub.add_parser("density", parents=[coef, step], help="density summary of one kernel section")
+    p = sub.add_parser("density", parents=[coef, step, fmt],
+                       help="density summary of one kernel section")
     p.add_argument("--y", type=float, required=True, help="anchor point in (0,1)")
     p.add_argument("--out", type=Path, default=None, help="curve SVG path (with --format svg)")
-    p.add_argument(
-        "--format",
-        choices=_FORMATS,
-        default="csv",
-        help="svg writes the sampled density curve to --out",
-    )
     p.set_defaults(run=cmd_density)
 
-    sub.add_parser(
-        "solve", parents=[coef, data, step, table], help="superposed-response curve from the data"
-    ).set_defaults(run=cmd_solve)
+    sub.add_parser("solve", parents=[coef, data, step, table, fmt],
+                   help="superposed-response curve from the data").set_defaults(run=cmd_solve)
     return parser
 
 

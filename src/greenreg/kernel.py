@@ -33,13 +33,11 @@ class KernelParams:
     a: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and self.a >= 0.0):
-            raise ValueError(f"coefficient a must be finite and nonnegative, got {self.a!r}")
-        if self.a > MAX_COEFFICIENT:
+        # NaN fails the test and inf is above the bound; -0.0 passes
+        if not 0.0 <= self.a <= MAX_COEFFICIENT:
             raise ValueError(
-                f"coefficient a must be nonnegative and at most {MAX_COEFFICIENT:.6g},"
-                f" so that a**2 is a finite double; got {self.a!r}"
-            )
+                f"coefficient a must be finite and nonnegative, at most {MAX_COEFFICIENT:.6g}"
+                f" so that a**2 is a finite double; got {self.a!r}")
 
 
 def _as_unit(name: str, v) -> np.ndarray:

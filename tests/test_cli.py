@@ -63,6 +63,8 @@ from greenreg.kernel import KernelParams
 from greenreg.regression import Prediction, QueryGrid, SampleSet, predict
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
+DENSITY_PAIRING_ERROR = ("error: --out and --format svg go together:"
+                         " the curve is written only as SVG\n")
 
 
 @pytest.fixture
@@ -300,7 +302,7 @@ class TestDensityCommand:
         rc = cli.main(["density", "--a", "1", "--y", "0.5", "--format", "svg"])
         assert rc == 1
         captured = capsys.readouterr()
-        assert "--out" in captured.err
+        assert captured.err == DENSITY_PAIRING_ERROR
         assert captured.out == ""
 
 
@@ -636,7 +638,7 @@ class TestExitCodes:
         rc = cli.main(["density", "--a", "1", "--y", "0.5", "--out", str(out)])
         assert rc == 1
         captured = capsys.readouterr()
-        assert "--format svg" in captured.err
+        assert captured.err == DENSITY_PAIRING_ERROR
         assert captured.out == ""
         assert not out.exists()
 
@@ -916,6 +918,10 @@ def test_flags_of_each_command():
         "solve": {"--a": True, "--data": True, "--delta": False, "--out": True,
                   "--format": False},
     }
+    # --format is declared once, so every command that takes it says the same
+    helps = {a.help for name in ("predict", "solve", "density")
+             for a in sub.choices[name]._actions if "--format" in a.option_strings}
+    assert len(helps) == 1
 
 
 def test_names_the_benchmark_reads():

@@ -16,7 +16,7 @@ two-neighbour predictor.
 - Against the 80-digit posterior ``refvals.mp_posterior``: the variance
   within 2e-15 relative, row by row, at queries from one ulp to 1e-9 of a
   site for ``a`` from 0 to 1e150, and between sites from 2 ulps to
-  ``MIN_ABSCISSA_GAP`` apart, which ``SampleSet`` accepts; queries from
+  ``GAP_FLOOR`` apart, the floor ``SampleSet`` once set; queries from
   5e-324 to 1 - 2^-52, with a subnormal mean within one unit.
 - ``discretized_solution``: exact end zeros, linearity in the ordinates,
   the series superposition, the dense sum within 1e-12 of its scale for
@@ -38,7 +38,6 @@ import refvals
 from greenreg import cli, kernel, regression
 from greenreg.kernel import KernelParams, green_closed, normalized_green
 from greenreg.regression import (
-    MIN_ABSCISSA_GAP,
     QueryGrid,
     SampleSet,
     _axis_grid,
@@ -49,6 +48,8 @@ from greenreg.regression import (
 
 A1 = KernelParams(a=1.0)
 A10 = KernelParams(a=10.0)
+# the closest two sites SampleSet once accepted; it sets no floor now
+GAP_FLOOR = 1e-9
 
 
 @pytest.fixture
@@ -101,6 +102,12 @@ class TestQueryGrid:
     @pytest.mark.parametrize("delta", [0.0, -0.1])
     def test_rejects_bad_delta(self, delta):
         with pytest.raises(ValueError, match="delta"):
+            QueryGrid.uniform(delta)
+
+    @pytest.mark.parametrize("delta", [1.0, 2.0, np.inf])
+    def test_step_of_one_or_more_leaves_no_grid(self, delta):
+        # the grid is 0 and 1 alone, and the constructor rejects what is left
+        with pytest.raises(ValueError, match="^at least one query abscissa is required$"):
             QueryGrid.uniform(delta)
 
     def test_rejects_endpoint_queries(self):
@@ -286,11 +293,11 @@ class TestTwoNeighbourPredictor:
 def _midway_at_the_gap_floor(params, lo):
     """Predicted and 80-digit (mean, variance) midway between lo and the site the floor above it.
 
-    The upper site is the first double at least MIN_ABSCISSA_GAP above lo,
+    The upper site is the first double at least GAP_FLOOR above lo,
     the closest pair SampleSet used to accept.
     """
-    hi = lo + MIN_ABSCISSA_GAP
-    if hi - lo < MIN_ABSCISSA_GAP:
+    hi = lo + GAP_FLOOR
+    if hi - lo < GAP_FLOOR:
         hi = np.nextafter(hi, 1.0)
     samples = SampleSet(xi=[lo, hi], eta=[1.0, 2.0])
     mid = lo + (hi - lo) / 2
@@ -347,7 +354,7 @@ class TestAgainstMpmath:
     @pytest.mark.parametrize("a", [0.0, 1.0, 10.0, 100.0])
     @pytest.mark.parametrize("gap", ["2 ulp", 1e-15, 1e-12, 1e-9])
     def test_sites_closer_than_the_old_floor(self, a, gap):
-        # SampleSet once rejected sites closer than MIN_ABSCISSA_GAP
+        # SampleSet once rejected sites closer than GAP_FLOOR
         for lo in refvals.XI:
             hi = np.nextafter(np.nextafter(lo, 1.0), 1.0) if gap == "2 ulp" else lo + gap
             samples = SampleSet(xi=[lo, hi], eta=[1.0, 2.0])
