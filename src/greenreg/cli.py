@@ -26,8 +26,6 @@ import sys
 from itertools import chain
 from pathlib import Path
 
-import numpy as np
-
 from . import svg
 from .density import density_stats
 from .kernel import KernelParams, normalized_green
@@ -79,14 +77,14 @@ def load_samples(path: Path) -> SampleSet:
         if x0 == x1:
             raise ValueError(f"{path}: duplicate abscissa {x0!r}")
     xi, eta = zip(*rows)
-    return SampleSet(xi=np.asarray(xi), eta=np.asarray(eta))
+    return SampleSet(xi=xi, eta=eta)
 
 
 def cmd_predict(args: argparse.Namespace) -> None:
     """Write the predictive table as CSV; with format=svg also a band plot."""
     samples = load_samples(args.data)
     if args.queries is not None:
-        grid = QueryGrid(x_star=np.asarray(args.queries))
+        grid = QueryGrid(x_star=args.queries)
     else:
         grid = QueryGrid.uniform(args.delta)
     pred = predict(KernelParams(a=args.a), samples, grid)

@@ -12,6 +12,7 @@ predictive mean and variance need only those two sites.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +24,6 @@ from .kernel import (
     _green,
     _l1_factors,
     _scaled_sinh,
-    _scaled_sinh_ratio,
 )
 
 # the package sets no floor on the gap between sites; this one is read only
@@ -227,8 +227,16 @@ def discretized_solution(params: KernelParams, samples: SampleSet, delta: float,
     xv = _as_unit("x", x)
     a = params.a
     xi, eta = samples.xi, samples.eta
-    s, r = _scaled_sinh(a, xi), _scaled_sinh_ratio(a, 1.0 - xi)
-    decay = np.exp(-a * np.diff(xi)).tolist()
+    # s, r and the decays are _scaled_sinh, _scaled_sinh_ratio and exp,
+    # evaluated per site with math: numpy's exp and expm1 round differently
+    # per CPU kernel set, and solve's table should not depend on it
+    sites, eps = xi.tolist(), sys.float_info.epsilon
+    s = np.array([v if (t := 2.0 * a * v) < eps else -math.expm1(-t) / (2.0 * a) for v in sites])
+    if 2.0 * a < eps:
+        r = 1.0 - xi
+    else:
+        r = np.array([math.expm1(-2.0 * a * (1.0 - v)) / math.expm1(-2.0 * a) for v in sites])
+    decay = [math.exp(-a * (hi - lo)) for lo, hi in zip(sites, sites[1:])]
     # p[j + 1] sums the sites xi_0 .. xi_j damped to xi_j, q[N - 1 - j]
     # the sites past xi_j damped to xi_{j + 1}
     p, q = [0.0], [0.0]

@@ -9,6 +9,8 @@ closed forms and frozen at full double precision; tests compare against
 these at tight tolerances.  ``mp_section`` computes the section
 quantities afresh at 60 or more digits for the sweeps over a and y, and
 ``mp_posterior`` the dense predictive mean and variance at 80 digits.
+``mp_green``, ``mp_l1`` and ``mp_h`` are the tests' one copy of the
+textbook hyperbolic forms of G, L1 and H = G / L1.
 """
 
 import functools
@@ -180,14 +182,30 @@ def mp_section(a, y):
         )
 
 
-def _mp_h(a_, s, t):
-    """H(s, t) = G(s, t) / L1(t) from the textbook hyperbolic forms, at the working precision."""
+def mp_green(a_, s, t):
+    """G(s, t) = sinh(a min) sinh(a (1 - max)) / (a sinh a), at the working precision.
+
+    The textbook hyperbolic form; min (1 - max) at a = 0.
+    """
     lo, hi = min(s, t), max(s, t)
     if a_ == 0:
-        return lo * (1 - hi) / (t * (1 - t) / 2)
-    g = mpmath.sinh(a_ * lo) * mpmath.sinh(a_ * (1 - hi)) / (a_ * mpmath.sinh(a_))
-    l1 = 2 * mpmath.sinh(a_ * t / 2) * mpmath.sinh(a_ * (1 - t) / 2) / (a_**2 * mpmath.cosh(a_ / 2))
-    return g / l1
+        return lo * (1 - hi)
+    return mpmath.sinh(a_ * lo) * mpmath.sinh(a_ * (1 - hi)) / (a_ * mpmath.sinh(a_))
+
+
+def mp_l1(a_, t):
+    """L1(t) = 2 sinh(a t / 2) sinh(a (1 - t) / 2) / (a^2 cosh(a / 2)), at the working precision.
+
+    The textbook hyperbolic form of the integral of G(., t); t (1 - t) / 2 at a = 0.
+    """
+    if a_ == 0:
+        return t * (1 - t) / 2
+    return 2 * mpmath.sinh(a_ * t / 2) * mpmath.sinh(a_ * (1 - t) / 2) / (a_**2 * mpmath.cosh(a_ / 2))
+
+
+def mp_h(a_, s, t):
+    """H(s, t) = G(s, t) / L1(t) from the textbook hyperbolic forms, at the working precision."""
+    return mp_green(a_, s, t) / mp_l1(a_, t)
 
 
 def mp_posterior(a, xi, eta, x, dps=80):
@@ -202,13 +220,13 @@ def mp_posterior(a, xi, eta, x, dps=80):
     with mpmath.workdps(dps):
         a_ = mpmath.mpf(a)
         sites = [mpmath.mpf(float(v)) for v in xi]
-        data_cov = mpmath.matrix([[_mp_h(a_, s, t) for t in sites] for s in sites])
+        data_cov = mpmath.matrix([[mp_h(a_, s, t) for t in sites] for s in sites])
         weights = mpmath.lu_solve(data_cov, mpmath.matrix([mpmath.mpf(float(v)) for v in eta]))
         means, variances = [], []
         for q in np.atleast_1d(x):
             q = mpmath.mpf(float(q))
-            c = mpmath.matrix([_mp_h(a_, q, s) for s in sites])
+            c = mpmath.matrix([mp_h(a_, q, s) for s in sites])
             explained = mpmath.lu_solve(data_cov, c)
             means.append(float(sum(c[i] * weights[i] for i in range(len(sites)))))
-            variances.append(float(_mp_h(a_, q, q) - sum(c[i] * explained[i] for i in range(len(sites)))))
+            variances.append(float(mp_h(a_, q, q) - sum(c[i] * explained[i] for i in range(len(sites)))))
         return np.array(means), np.array(variances)

@@ -1185,14 +1185,15 @@ def _avx512_targets():
             and umath.__cpu_features__.get(name)]
 
 
-def test_predict_table_does_not_depend_on_the_cpu(tmp_path, monkeypatch):
-    # numpy's AVX512 exp and expm1 round differently from its AVX2 ones.
-    # The variance subtracts nothing, so its few ulp of difference never
-    # reach the 12th digit; the subtraction it replaced moved up to 444
-    # units there on these sites, the 1000-site set of the ROADMAP.  The
-    # mean is a sum of two weighted ordinates and moves by a few ulp of
-    # its terms, and mean - 2 std cancels, so the mean and band columns
-    # are held to one unit of their 12th digit
+def _run_with_and_without_avx512(monkeypatch, tmp_path, commands):
+    """Run ``commands`` natively and with numpy's AVX512 kernels off.
+
+    The commands run in one subprocess each, after a digest of numpy's
+    exp and expm1 that shows the kernels were switched.  ``data`` is the
+    1000-site set of the ROADMAP and ``out`` the run's path prefix
+    (``native`` or ``avx2`` under ``tmp_path``).  Returns the two
+    stdouts without the digest line.
+    """
     targets = _avx512_targets()
     if not targets:
         pytest.skip("numpy dispatches to no AVX512 kernel on this CPU")
@@ -1210,19 +1211,34 @@ from greenreg import cli
 t = np.linspace(-3.0, 3.0, 4099)
 print(hashlib.sha256(np.exp(t).tobytes() + np.expm1(t).tobytes()).hexdigest())
 data, out = sys.argv[1:]
-for a in ("1", "10", "100"):
-    argv = ["predict", "--data", data, "--a", a, "--delta", "2e-4", "--out", f"{out}-{a}.csv"]
-    assert cli.main(argv) == 0, argv
-"""
-    digests = []
+""" + commands
+    digests, stdouts = [], []
     monkeypatch.delenv("NPY_DISABLE_CPU_FEATURES", raising=False)
     for name in ("native", "avx2"):
         if name == "avx2":
             monkeypatch.setenv("NPY_DISABLE_CPU_FEATURES", " ".join(targets))
         proc = run_python("-c", code, str(data), str(tmp_path / name))
         assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout)
+        digest, _, stdout = proc.stdout.partition("\n")
+        digests.append(digest)
+        stdouts.append(stdout)
     assert digests[0] != digests[1], "the AVX512 kernels were not switched off"
+    return stdouts
+
+
+def test_predict_table_does_not_depend_on_the_cpu(tmp_path, monkeypatch):
+    # numpy's AVX512 exp and expm1 round differently from its AVX2 ones.
+    # The variance subtracts nothing, so its few ulp of difference never
+    # reach the 12th digit; the subtraction it replaced moved up to 444
+    # units there on these sites, the 1000-site set of the ROADMAP.  The
+    # mean is a sum of two weighted ordinates and moves by a few ulp of
+    # its terms, and mean - 2 std cancels, so the mean and band columns
+    # are held to one unit of their 12th digit
+    _run_with_and_without_avx512(monkeypatch, tmp_path, """
+for a in ("1", "10", "100"):
+    argv = ["predict", "--data", data, "--a", a, "--delta", "2e-4", "--out", f"{out}-{a}.csv"]
+    assert cli.main(argv) == 0, argv
+""")
     for a in ("1", "10", "100"):
         tables = [(tmp_path / f"{name}-{a}.csv").read_text(encoding="utf-8").splitlines()
                   for name in ("native", "avx2")]
@@ -1236,3 +1252,23 @@ for a in ("1", "10", "100"):
         scale = np.maximum(np.abs(u), np.abs(v))
         unit = 10.0 ** (np.floor(np.log10(np.where(scale > 0.0, scale, 1.0))) - 11.0)
         assert np.all(np.abs(u - v) <= 1.01 * unit), a
+
+
+def test_solve_and_density_output_does_not_depend_on_the_cpu(tmp_path, monkeypatch):
+    # solve's scan takes its exp and expm1 from math, per site: numpy's
+    # would move 8 and 1 of its 5002 lines at a = 1 and 100 on these
+    # sites.  About one density row in twelve differs in bits between the
+    # kernel sets, but none in print
+    stdouts = _run_with_and_without_avx512(monkeypatch, tmp_path, """
+for a in ("1", "10", "100"):
+    argv = ["solve", "--data", data, "--a", a, "--delta", "2e-4", "--out", f"{out}-{a}.csv"]
+    assert cli.main(argv) == 0, argv
+    for y in np.random.default_rng(39).uniform(0.0, 1.0, 500).tolist():
+        assert cli.main(["density", "--a", a, "--y", repr(y)]) == 0, (a, y)
+""")
+    assert stdouts[0].count("\n") == 3 * 500 * 5
+    assert stdouts[0] == stdouts[1]
+    for a in ("1", "10", "100"):
+        tables = [(tmp_path / f"{name}-{a}.csv").read_bytes() for name in ("native", "avx2")]
+        assert tables[0].count(b"\n") == 5002
+        assert tables[0] == tables[1], a

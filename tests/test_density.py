@@ -131,8 +131,7 @@ def _mpmath_mean_std(a, y):
         y = mpmath.mpf(y)
 
         def g(x):
-            lo, hi = min(x, y), max(x, y)
-            return mpmath.sinh(a * lo) * mpmath.sinh(a * (1 - hi)) / (a * mpmath.sinh(a))
+            return refvals.mp_green(a, x, y)
 
         def quad(f):
             return mpmath.quad(f, [0, y, 1])

@@ -163,8 +163,7 @@ class TestGreenClosed:
         with mpmath.workdps(60):
             ma = mpmath.mpf(a)
             for x, y in points:
-                lo, hi = mpmath.mpf(min(x, y)), mpmath.mpf(max(x, y))
-                want = mpmath.sinh(ma * lo) * mpmath.sinh(ma * (1 - hi)) / (ma * mpmath.sinh(ma))
+                want = refvals.mp_green(ma, mpmath.mpf(x), mpmath.mpf(y))
                 got = green_closed(params, x, y)
                 assert abs(got - want) <= 1e-14 * want, (x, y)
 
@@ -290,13 +289,8 @@ class TestNormalizedGreen:
         # L1(y) is about y / a, below the double range here, while H(y, y)
         # is about a; 400 digits hold 1 - y and a (1 - y) exactly
         with mpmath.workdps(400):
-            ma, my = mpmath.mpf(a), mpmath.mpf(y)
-            g = mpmath.sinh(ma * my) * mpmath.sinh(ma * (1 - my)) / (ma * mpmath.sinh(ma))
-            l1 = (
-                2 * mpmath.sinh(ma * my / 2) * mpmath.sinh(ma * (1 - my) / 2)
-                / (ma**2 * mpmath.cosh(ma / 2))
-            )
-            want = g / l1
+            my = mpmath.mpf(y)
+            want = refvals.mp_h(mpmath.mpf(a), my, my)
         got = normalized_green(KernelParams(a=a), y, y)
         assert abs(got - want) <= 1e-14 * want
 
@@ -312,7 +306,7 @@ class TestNormalizedGreen:
         ])
         got = normalized_green(KernelParams(a=a), x, y)
         with mpmath.workdps(60):
-            want = [refvals._mp_h(mpmath.mpf(a), mpmath.mpf(v), mpmath.mpf(y)) for v in x]
+            want = [refvals.mp_h(mpmath.mpf(a), mpmath.mpf(v), mpmath.mpf(y)) for v in x]
         for v, g, w in zip(x, got, want):
             if w == 0:
                 assert g == 0.0, v

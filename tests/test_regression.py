@@ -139,7 +139,7 @@ class TestCovarianceBlocks:
         xi = [5e-324, 1e-310, 0.3, 0.5]
         cov = build_cov_matrix(KernelParams(a=a), SampleSet(xi=xi, eta=[1.0, 2.0, 3.0, 4.0]))
         with mpmath.workdps(60):
-            want = [[refvals._mp_h(mpmath.mpf(a), mpmath.mpf(s), mpmath.mpf(t)) for t in xi]
+            want = [[refvals.mp_h(mpmath.mpf(a), mpmath.mpf(s), mpmath.mpf(t)) for t in xi]
                     for s in xi]
         for i, j in np.ndindex(cov.shape):
             if want[i][j] >= sys.float_info.min:
